@@ -40,6 +40,8 @@ from .verification import derive_seed, run_all_checks
 TABLE_MAX_N = 10_000
 TABLE_NUMERIC_MAX_N = 100
 VERIFY_MAX_N = 64
+# The optimizer works on the dense (n+1) x (n+1) vertex matrix.
+OPTIMIZE_MAX_N = 1000
 
 CSV_COLUMNS = (
     "n",
@@ -153,6 +155,8 @@ def cmd_width(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    if not 1 <= args.n <= OPTIMIZE_MAX_N:
+        return _usage_error(f"--n must be in 1..{OPTIMIZE_MAX_N}")
     cfg = OptimizerConfig(
         restarts=args.restarts,
         tol=args.tol,

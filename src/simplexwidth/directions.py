@@ -13,8 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .closed_form import alpha_beta
-from .geometry import DimensionError, Direction, PreconditionError, Vector
+from .closed_form import _check_order, alpha_beta
+from .geometry import (
+    SUM_ZERO_TOL,
+    UNIT_NORM_TOL,
+    DimensionError,
+    Direction,
+    PreconditionError,
+    Vector,
+)
 
 # C(21, 10) ~= 352k directions keeps exhaustive sweeps tractable.
 ENUMERATION_CAP = 20
@@ -39,8 +46,7 @@ class TwoValueDirection:
 
 def optimal_t(n: int) -> int:
     """Low-coordinate count minimizing the two-value width: (n+1)//2."""
-    if n < 1:
-        raise DimensionError(f"simplex order must be positive, got {n!r}")
+    _check_order(n)
     return (n + 1) // 2
 
 
@@ -94,9 +100,9 @@ def is_optimal_direction(n: int, u: Direction) -> bool:
     if u.dim != n + 1:
         raise DimensionError(f"direction has dimension {u.dim}, expected {n + 1}")
     nsq = u.vec.norm_squared()
-    if abs(nsq - 1.0) > 1e-12:
+    if abs(nsq - 1.0) > UNIT_NORM_TOL:
         raise PreconditionError("direction must be a unit vector")
-    if abs(u.vec.coordinate_sum()) > 1e-12:
+    if abs(u.vec.coordinate_sum()) > SUM_ZERO_TOL:
         raise PreconditionError("direction must be sum-zero")
 
     t = optimal_t(n)

@@ -130,6 +130,17 @@ def _snap_two_valued(u: np.ndarray, constrain_sum_zero: bool) -> np.ndarray | No
     return snapped / norm
 
 
+def _identity_scale(pts: np.ndarray) -> float:
+    """The c of a vertex matrix that is exactly c times the identity,
+    c != 0 and every off-diagonal entry +0.0; 0.0 for any other matrix.
+    The standard simplex has c = 1, the regular one c = 1/sqrt(2)."""
+    rows, dim = pts.shape
+    c = float(pts[0, 0])
+    if rows != dim or c == 0.0:
+        return 0.0
+    return c if pts.tobytes() == np.diag(np.full(dim, c)).tobytes() else 0.0
+
+
 def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     """Best-of-restarts projected subgradient descent for the width.
 
@@ -140,56 +151,85 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     bound on the true width; ``converged`` records whether the final
     iteration improved the best width by less than ``tol``.
 
+    When the vertex matrix is c times the identity (the standard and
+    regular simplices), the projections of an iterate u are just its
+    coordinates scaled by c, so they are computed as ``c * u`` instead
+    of a matrix product. Each dot product has one nonzero term, so the
+    scaled coordinates equal the matrix product exactly and the result
+    is the same, bit for bit, as on the general path.
+
     NOTE: a point set that spans an affine hyperplane not through the
     origin (such as a simplex on the coordinates-sum-to-one hyperplane)
     has unconstrained width 0 along the hyperplane's normal; pass
     ``constrain_sum_zero=True`` to search parallel to that hyperplane.
     """
     dim = points.dim
-    if cfg.constrain_sum_zero and dim < 2:
+    sum_zero = cfg.constrain_sum_zero
+    if sum_zero and dim < 2:
         raise DimensionError(
             "the sum-zero constraint leaves no directions in dimension 1"
         )
     pts = _points_matrix(points)
+    scale = _identity_scale(pts)
     r = cfg.restarts
+    add = np.add.reduce
 
     inits = _restart_inits(cfg, dim)
     U = inits.copy()
     rows = np.arange(r)
 
-    dots = U @ pts.T
-    widths = dots.max(axis=1) - dots.min(axis=1)
+    dots = U * scale if scale else U @ pts.T
+    hi = dots.argmax(axis=1)
+    lo = dots.argmin(axis=1)
+    widths = dots[rows, hi] - dots[rows, lo]
     best_w = widths.copy()
     best_u = U.copy()
-    last_gain = np.zeros(r)
 
+    # Each step is U <- normalize(U - step * (g - <g, U> U)), with
+    # np.mean and np.linalg.norm spelled out as the np.add.reduce calls
+    # they make and the updates done in place. The rounding is the same,
+    # so the result matches the textbook loop kept in the tests bit for
+    # bit.
     for k in range(1, cfg.max_iters + 1):
-        hi = np.argmax(dots, axis=1)
-        lo = np.argmin(dots, axis=1)
-        g = pts[hi] - pts[lo]
-        if cfg.constrain_sum_zero:
-            g = g - g.mean(axis=1, keepdims=True)
-        g = g - np.sum(g * U, axis=1, keepdims=True) * U
-        U = U - (cfg.step_init / math.sqrt(k)) * g
-        if cfg.constrain_sum_zero:
-            U = U - U.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(U, axis=1, keepdims=True)
-        degenerate = norms[:, 0] < 1e-12
-        if degenerate.any():
+        if scale:
+            # g = pts[hi] - pts[lo] holds c, -c and +0.0 only: its
+            # coordinate sum is exactly 0, so centering leaves it as it
+            # is, and <g, U> has two nonzero terms, c*U[hi] - c*U[lo],
+            # which is exactly the current width.
+            g = np.zeros((r, dim))
+            g[rows, hi] = scale
+            g[rows, lo] -= scale
+            gu = widths[:, None]
+        else:
+            g = pts[hi] - pts[lo]
+            if sum_zero:
+                g -= add(g, axis=1, keepdims=True) / dim
+            gu = add(g * U, axis=1, keepdims=True)
+        g -= gu * U
+        g *= cfg.step_init / math.sqrt(k)
+        U -= g
+        if sum_zero:
+            U -= add(U, axis=1, keepdims=True) / dim
+        norms = np.sqrt(add(U * U, axis=1, keepdims=True))
+        if norms.min() < 1e-12:
+            degenerate = norms[:, 0] < 1e-12
             U[degenerate] = inits[degenerate]
             norms[degenerate] = 1.0
-        U = U / norms
+        U /= norms
 
-        dots = U @ pts.T
-        widths = dots.max(axis=1) - dots.min(axis=1)
+        dots = U * scale if scale else U @ pts.T
+        hi = dots.argmax(axis=1)
+        lo = dots.argmin(axis=1)
+        widths = dots[rows, hi] - dots[rows, lo]
         improved = widths < best_w
-        last_gain = np.where(improved, best_w - widths, 0.0)
-        best_u[improved] = U[improved]
-        best_w = np.where(improved, widths, best_w)
+        if k == cfg.max_iters:
+            last_gain = np.where(improved, best_w - widths, 0.0)
+        np.copyto(best_u, U, where=improved[:, None])
+        np.copyto(best_w, widths, where=improved)
 
     # Keep a snap only when it does not increase the width.
     for j in range(r):
-        snapped = _snap_two_valued(best_u[j], cfg.constrain_sum_zero)
+        snapped = _snap_two_valued(best_u[j], sum_zero)
         if snapped is None:
             continue
         projections = pts @ snapped
@@ -200,7 +240,7 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
 
     winner = int(np.argmin(best_w))
     u = best_u[winner]
-    direction = Direction(Vector(tuple(u)), sum_zero=cfg.constrain_sum_zero)
+    direction = Direction(Vector(tuple(u)), sum_zero=sum_zero)
     return WidthResult(
         width=float(best_w[winner]),
         direction=direction,

@@ -178,6 +178,13 @@ def test_optimize_output(capsys):
     assert abs(sum(coords)) <= 1e-9
 
 
+def test_optimize_cap_is_usage_error(capsys):
+    # rejected before any vertex is built
+    code, _, err = run(capsys, "optimize", "--n", str(cli.OPTIMIZE_MAX_N + 1))
+    assert code == 2
+    assert "1..1000" in err
+
+
 def test_optimize_determinism(capsys):
     args = ("optimize", "--n", "4", "--restarts", "8", "--seed", "3")
     _, first, _ = run(capsys, *args)

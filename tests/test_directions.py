@@ -35,6 +35,12 @@ def test_optimal_t_validates_order():
         optimal_t(0)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+def test_optimal_t_rejects_non_integers(n):
+    with pytest.raises(DimensionError):
+        optimal_t(n)
+
+
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 3), (3, 6), (4, 10), (5, 20)])
 def test_family_sizes(n, count):
     assert len(enumerate_optimal_directions(n)) == count

@@ -14,6 +14,7 @@ from simplexwidth.geometry import (
     PointSet,
     Vector,
     projection_width,
+    regular_simplex_vertices,
     standard_simplex_vertices,
 )
 from simplexwidth.optimizer import (
@@ -24,7 +25,13 @@ from simplexwidth.optimizer import (
     minimize_width,
     two_value_enumeration_width,
 )
-from simplexwidth.optimizer import _batch_widths, _points_matrix
+from simplexwidth.optimizer import (
+    _batch_widths,
+    _identity_scale,
+    _points_matrix,
+    _restart_inits,
+    _snap_two_valued,
+)
 
 
 def unit_square():
@@ -177,3 +184,122 @@ def test_enumeration_is_exact():
 def test_enumeration_validates_order():
     with pytest.raises(DimensionError):
         two_value_enumeration_width(0)
+
+
+def _reference_minimize_width(points, cfg):
+    """The textbook form of the subgradient loop (np.mean, np.linalg.norm,
+    a matrix product for the projections, max/min for the widths), kept
+    as the oracle for bit-for-bit equality. Returns (width, coords,
+    converged, iterations)."""
+    pts = _points_matrix(points)
+    r = cfg.restarts
+    inits = _restart_inits(cfg, points.dim)
+    U = inits.copy()
+    dots = U @ pts.T
+    widths = dots.max(axis=1) - dots.min(axis=1)
+    best_w = widths.copy()
+    best_u = U.copy()
+    last_gain = np.zeros(r)
+    for k in range(1, cfg.max_iters + 1):
+        hi = np.argmax(dots, axis=1)
+        lo = np.argmin(dots, axis=1)
+        g = pts[hi] - pts[lo]
+        if cfg.constrain_sum_zero:
+            g = g - g.mean(axis=1, keepdims=True)
+        g = g - np.sum(g * U, axis=1, keepdims=True) * U
+        U = U - (cfg.step_init / math.sqrt(k)) * g
+        if cfg.constrain_sum_zero:
+            U = U - U.mean(axis=1, keepdims=True)
+        norms = np.linalg.norm(U, axis=1, keepdims=True)
+        degenerate = norms[:, 0] < 1e-12
+        if degenerate.any():
+            U[degenerate] = inits[degenerate]
+            norms[degenerate] = 1.0
+        U = U / norms
+        dots = U @ pts.T
+        widths = dots.max(axis=1) - dots.min(axis=1)
+        improved = widths < best_w
+        last_gain = np.where(improved, best_w - widths, 0.0)
+        best_u[improved] = U[improved]
+        best_w = np.where(improved, widths, best_w)
+    for j in range(r):
+        snapped = _snap_two_valued(best_u[j], cfg.constrain_sum_zero)
+        if snapped is None:
+            continue
+        projections = pts @ snapped
+        w = float(projections.max() - projections.min())
+        if w <= best_w[j]:
+            best_u[j] = snapped
+            best_w[j] = w
+    winner = int(np.argmin(best_w))
+    coords = Vector(tuple(best_u[winner])).coords
+    converged = bool(last_gain[winner] < cfg.tol)
+    return float(best_w[winner]), coords, converged, cfg.max_iters
+
+
+def _random_points(seed, dim, count):
+    rng = np.random.default_rng(seed)
+    return PointSet(tuple(Vector(tuple(row)) for row in rng.standard_normal((count, dim))))
+
+
+EQUIVALENCE_CASES = [
+    *[(f"standard-{n}", standard_simplex_vertices(n), True) for n in (1, 2, 5, 12, 60)],
+    ("standard-5-free", standard_simplex_vertices(5), False),
+    *[(f"regular-{n}", regular_simplex_vertices(n), True) for n in (3, 4)],
+    ("unit-square", unit_square(), False),
+    ("random-2d", _random_points(21, 2, 7), False),
+    ("random-3d", _random_points(22, 3, 9), False),
+    ("random-3d-sum-zero", _random_points(23, 3, 6), True),
+    ("random-5d", _random_points(24, 5, 11), False),
+    ("origin", PointSet((Vector((0.0, 0.0, 0.0)),)), False),
+]
+
+
+@pytest.mark.parametrize(
+    "points,sum_zero",
+    [case[1:] for case in EQUIVALENCE_CASES],
+    ids=[case[0] for case in EQUIVALENCE_CASES],
+)
+def test_minimize_width_is_bitwise_equal_to_the_reference_loop(points, sum_zero):
+    cfg = OptimizerConfig(max_iters=300, seed=41, constrain_sum_zero=sum_zero)
+    result = minimize_width(points, cfg)
+    width, coords, converged, iterations = _reference_minimize_width(points, cfg)
+    assert result.width == width
+    assert result.direction.coords == coords
+    assert result.converged == converged
+    assert result.iterations == iterations
+
+
+def test_identity_scale_detects_only_scaled_identities():
+    assert _identity_scale(_points_matrix(standard_simplex_vertices(4))) == 1.0
+    assert _identity_scale(_points_matrix(regular_simplex_vertices(4))) == 1.0 / math.sqrt(2.0)
+    assert _identity_scale(np.zeros((1, 1))) == 0.0
+    assert _identity_scale(_points_matrix(unit_square())) == 0.0
+    assert _identity_scale(np.array([[1.0, -0.0], [0.0, 1.0]])) == 0.0
+    assert _identity_scale(np.array([[2.0, 0.0], [0.0, 1.0]])) == 0.0
+    assert _identity_scale(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0.0
+
+
+def _exact_planar_width(pts):
+    """Minimum over point pairs of the spread of all points along the
+    normal of the line through the pair; one such line is a hull edge."""
+    best = math.inf
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dx, dy = pts[j] - pts[i]
+            length = math.hypot(dx, dy)
+            if length == 0.0:
+                continue
+            proj = (pts @ np.array([-dy, dx])) / length
+            best = min(best, float(proj.max() - proj.min()))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_minimize_width_matches_exact_planar_width(seed):
+    rng = np.random.default_rng(1000 + seed)
+    pts = rng.standard_normal((int(rng.integers(4, 13)), 2))
+    points = PointSet(tuple(Vector(tuple(row)) for row in pts))
+    exact = _exact_planar_width(pts)
+    result = minimize_width(points, OptimizerConfig(restarts=16, seed=seed))
+    assert abs(result.width - exact) <= 1e-5 * exact
