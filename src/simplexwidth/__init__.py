@@ -7,7 +7,6 @@ enumeration) that cross-check the formulas.
 """
 
 from .closed_form import (
-    MAX_ORDER,
     ExactScalar,
     SimplexKind,
     alpha_beta,
@@ -38,6 +37,7 @@ from .energy import (
     energy_push,
 )
 from .geometry import (
+    MAX_ORDER,
     SUM_ZERO_TOL,
     UNIT_NORM_TOL,
     DimensionError,

@@ -27,7 +27,7 @@ from .closed_form import (
     inradius_squared,
     width_squared,
 )
-from .directions import enumerate_optimal_directions, is_optimal_direction, optimal_t
+from .directions import is_optimal_direction, optimal_family, optimal_t
 from .geometry import (
     DimensionError,
     PreconditionError,
@@ -42,6 +42,9 @@ TABLE_NUMERIC_MAX_N = 100
 VERIFY_MAX_N = 64
 # The optimizer works on the dense (n+1) x (n+1) vertex matrix.
 OPTIMIZE_MAX_N = 1000
+# `directions --list` writes its lines in chunks of this many: the output
+# runs to ~120 MB at the enumeration cap, so it is never held whole.
+LIST_CHUNK_LINES = 4096
 
 CSV_COLUMNS = (
     "n",
@@ -172,10 +175,36 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_family(n: int, out: IO[str]) -> None:
+    """Write every member of the optimal family, one per line, in the
+    order of `enumerate_optimal_directions`.
+
+    Only the representative is built as a Direction, which checks it for
+    unit norm and sum zero. Every other member is a permutation of its
+    coordinates, and math.fsum is correctly rounded, so the member's norm
+    and sum are bit for bit the representative's: checking them again
+    could not fail. The lines are therefore filled in from the two
+    formatted coordinate values.
+    """
+    family = optimal_family(n)
+    low_text = format_decimal(family.alpha)
+    row = [format_decimal(family.beta)] * (n + 1)
+    lines: list[str] = []
+    for low in family.low_sets():
+        member = row.copy()
+        for i in low:
+            member[i] = low_text
+        lines.append(" ".join(member))
+        if len(lines) == LIST_CHUNK_LINES:
+            out.write("\n".join(lines) + "\n")
+            lines.clear()
+    if lines:
+        out.write("\n".join(lines) + "\n")
+
+
 def cmd_directions(args: argparse.Namespace) -> int:
     if args.list:
-        for d in enumerate_optimal_directions(args.n):
-            print(" ".join(format_decimal(c) for c in d.vec.coords))
+        _write_family(args.n, sys.stdout)
         return 0
     t = optimal_t(args.n)
     low, high = alpha_beta(args.n, t)

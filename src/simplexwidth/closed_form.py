@@ -25,15 +25,13 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import DimensionError, Vector
+# MAX_ORDER is re-exported: it is the closed forms' order cap, applied by
+# check_order.
+from .geometry import MAX_ORDER, Vector, check_order
 
 # Public alias: squared widths, radii, and two-value coordinates are
 # exact rationals in lowest terms with positive denominator.
 ExactScalar = Fraction
-
-# Guard on integer growth in the rational formulas. The formulas are
-# O(1) rationals, so this is safety, not necessity.
-MAX_ORDER = 10**6
 
 
 class SimplexKind(Enum):
@@ -41,22 +39,15 @@ class SimplexKind(Enum):
     REGULAR = "regular"
 
 
-def _check_order(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DimensionError(f"simplex order must be a positive integer, got {n!r}")
-    if n > MAX_ORDER:
-        raise DimensionError(f"simplex order is capped at {MAX_ORDER}")
-
-
 def _check_low_count(n: int, t: int) -> None:
-    _check_order(n)
+    check_order(n)
     if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= n:
         raise ValueError(f"low-coordinate count t must lie in 1..{n}, got {t!r}")
 
 
 def width_squared(n: int, kind: SimplexKind) -> Fraction:
     """Exact squared width of the n-simplex of the given kind."""
-    _check_order(n)
+    check_order(n)
     if n % 2 == 1:
         std = Fraction(4, n + 1)
     else:
@@ -79,13 +70,13 @@ def center(n: int) -> Vector:
     Lies on the hyperplane where the coordinates sum to 1, at equal
     distance from every vertex.
     """
-    _check_order(n)
+    check_order(n)
     return Vector((1.0 / (n + 1),) * (n + 1))
 
 
 def circumdistance_squared(n: int) -> Fraction:
     """Squared distance from the standard simplex's center to each vertex: n/(n+1)."""
-    _check_order(n)
+    check_order(n)
     return Fraction(n, n + 1)
 
 
@@ -95,19 +86,19 @@ def indistance_squared(n: int) -> Fraction:
 
     Equals the squared distance from the center to any facet centroid.
     """
-    _check_order(n)
+    check_order(n)
     return Fraction(1, n * (n + 1))
 
 
 def inradius_squared(n: int) -> Fraction:
     """Squared inradius of the unit-edge simplex: 1/(2n(n+1))."""
-    _check_order(n)
+    check_order(n)
     return Fraction(1, 2 * n * (n + 1))
 
 
 def circumradius_squared(n: int) -> Fraction:
     """Squared circumradius of the unit-edge simplex: n/(2(n+1))."""
-    _check_order(n)
+    check_order(n)
     return Fraction(n, 2 * (n + 1))
 
 

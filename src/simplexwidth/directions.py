@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Iterator
 
-from .closed_form import _check_order, alpha_beta
+from .closed_form import alpha_beta
 from .geometry import (
     SUM_ZERO_TOL,
     UNIT_NORM_TOL,
@@ -21,6 +22,7 @@ from .geometry import (
     Direction,
     PreconditionError,
     Vector,
+    check_order,
 )
 
 # C(21, 10) ~= 352k directions keeps exhaustive sweeps tractable.
@@ -44,14 +46,50 @@ class TwoValueDirection:
     direction: Direction
 
 
+@dataclass(frozen=True)
+class OptimalFamily:
+    """The width-achieving family of the standard n-simplex, as one
+    validated representative and the low sets of all its members.
+
+    Every member puts ``alpha`` on its low set and ``beta`` elsewhere, so
+    each is a coordinate permutation of ``representative`` (low set
+    {0, ..., t-1}).
+    """
+
+    n: int
+    t: int
+    alpha: float
+    beta: float
+    representative: TwoValueDirection
+
+    def low_sets(self) -> Iterator[tuple[int, ...]]:
+        """The members' low-coordinate index sets, in lexicographic order."""
+        return combinations(range(self.n + 1), self.t)
+
+
 def optimal_t(n: int) -> int:
     """Low-coordinate count minimizing the two-value width: (n+1)//2."""
-    _check_order(n)
+    check_order(n)
     return (n + 1) // 2
 
 
+def optimal_family(n: int) -> OptimalFamily:
+    """The optimal family of order n, for exhaustive enumeration.
+
+    Validates n, applies ENUMERATION_CAP, and builds (hence checks for
+    unit norm and sum zero) the representative only.
+    """
+    t = optimal_t(n)
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"exhaustive enumeration is capped at n <= {ENUMERATION_CAP}, got {n}"
+        )
+    a, b = alpha_beta(n, t)
+    return OptimalFamily(n, t, a, b, make_two_value_direction(n, t, range(t)))
+
+
 def make_two_value_direction(
-    n: int, t: int, low_set: frozenset[int] | set[int]
+    n: int, t: int, low_set: Iterable[int]
 ) -> TwoValueDirection:
     """Build the two-value direction with alpha on ``low_set``."""
     low = frozenset(int(i) for i in low_set)
@@ -75,16 +113,10 @@ def enumerate_optimal_directions(n: int) -> list[Direction]:
     1/sqrt(n+1), negations included. Even n: the C(n+1, n/2) two-value
     directions with t = n/2, one per choice of low coordinates.
     """
-    if n < 1:
-        raise DimensionError(f"simplex order must be positive, got {n!r}")
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"exhaustive enumeration is capped at n <= {ENUMERATION_CAP}, got {n}"
-        )
-    t = optimal_t(n)
+    family = optimal_family(n)
     return [
-        make_two_value_direction(n, t, frozenset(low)).direction
-        for low in combinations(range(n + 1), t)
+        make_two_value_direction(n, family.t, low).direction
+        for low in family.low_sets()
     ]
 
 

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 UNIT_NORM_TOL = 1e-12
 SUM_ZERO_TOL = 1e-12
 
+# Largest accepted simplex order. Guards integer growth in the rational
+# closed forms; every order check in the package applies it.
+MAX_ORDER = 10**6
+
 
 class DimensionError(ValueError):
     """Invalid or mismatched ambient dimension."""
@@ -138,9 +142,12 @@ class PointSet:
         return iter(self.points)
 
 
-def _check_order(n: int) -> None:
+def check_order(n: int) -> None:
+    """Raise DimensionError unless n is an int (not a bool) in 1..MAX_ORDER."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DimensionError(f"simplex order must be a positive integer, got {n!r}")
+    if n > MAX_ORDER:
+        raise DimensionError(f"simplex order is capped at {MAX_ORDER}")
 
 
 def standard_simplex_vertices(n: int) -> PointSet:
@@ -149,7 +156,7 @@ def standard_simplex_vertices(n: int) -> PointSet:
     All pairwise distances are sqrt(2), and every vertex lies on the
     hyperplane where the coordinates sum to 1.
     """
-    _check_order(n)
+    check_order(n)
     points = []
     for i in range(n + 1):
         coords = [0.0] * (n + 1)
@@ -163,7 +170,7 @@ def regular_simplex_vertices(n: int) -> PointSet:
 
     The basis-vector simplex scaled by 1/sqrt(2); pairwise distances 1.
     """
-    _check_order(n)
+    check_order(n)
     s = 1.0 / math.sqrt(2.0)
     base = standard_simplex_vertices(n)
     return PointSet(tuple(p.scaled(s) for p in base))

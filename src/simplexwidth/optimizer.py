@@ -28,7 +28,7 @@ import numpy as np
 
 from .closed_form import width_for_t
 from .directions import make_two_value_direction
-from .geometry import DimensionError, Direction, PointSet, Vector
+from .geometry import DimensionError, Direction, PointSet, Vector, check_order
 
 
 class Method(Enum):
@@ -358,8 +358,7 @@ def two_value_enumeration_width(n: int) -> WidthResult:
     minimum is exact; the witness puts the low coordinates first. Ties
     (even n) resolve to the smaller t.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DimensionError(f"simplex order must be a positive integer, got {n!r}")
+    check_order(n)
     best_t = min(range(1, n + 1), key=lambda t: (width_for_t(n, t), t))
     w_sq = width_for_t(n, best_t)
     witness = make_two_value_direction(n, best_t, frozenset(range(best_t)))

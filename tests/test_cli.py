@@ -1,9 +1,11 @@
 """Command-line contract: formats, golden values, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from simplexwidth.closed_form import (
     inradius_squared,
     width_squared,
 )
+from simplexwidth.directions import ENUMERATION_CAP, enumerate_optimal_directions
 
 EXPECTED_TABLE_3 = (
     "n,parity,width_std_sq,width_reg_sq,width_reg,inradius,circumradius\n"
@@ -160,9 +163,52 @@ def test_directions_list(capsys):
 
 
 def test_directions_cap_is_usage_error(capsys):
-    code, _, err = run(capsys, "directions", "--n", "21", "--list")
+    code, out, err = run(capsys, "directions", "--n", "21", "--list")
     assert code == 2
     assert "error" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_directions_list_matches_the_enumerated_family(capsys, n):
+    code, out, _ = run(capsys, "directions", "--n", str(n), "--list")
+    assert code == 0
+    expected = "\n".join(
+        " ".join(cli.format_decimal(c) for c in d.coords)
+        for d in enumerate_optimal_directions(n)
+    )
+    assert out == expected + "\n"
+
+
+class _HashingStdout(io.TextIOBase):
+    """Text stream that keeps a SHA-256 and a line count, not the text."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.lines = 0
+
+    def write(self, text):
+        self.sha.update(text.encode("utf-8"))
+        self.lines += text.count("\n")
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "n,lines,digest",
+    [
+        (18, 92_378, "fbf8d9211029e425df29bd43afff386623280963dd52cec6012e146d78f84f6c"),
+        (20, 352_716, "e532d21ce5316a1e8e1025d19d8b5ccb7310c62d4f3160723ed7608f5c6aa4d8"),
+    ],
+)
+def test_directions_list_golden_digest(monkeypatch, n, lines, digest):
+    # n = 20 is the enumeration cap; its ~120 MB of output is hashed as it
+    # streams, never held.
+    assert n <= ENUMERATION_CAP
+    sink = _HashingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(["directions", "--n", str(n), "--list"]) == 0
+    assert sink.lines == lines
+    assert sink.sha.hexdigest() == digest
 
 
 def test_optimize_output(capsys):

@@ -13,6 +13,7 @@ from simplexwidth.directions import (
     enumerate_optimal_directions,
     is_optimal_direction,
     make_two_value_direction,
+    optimal_family,
     optimal_t,
 )
 from simplexwidth.geometry import (
@@ -82,8 +83,29 @@ def test_family_members_achieve_the_width(n):
 def test_enumeration_cap_and_order_validation():
     with pytest.raises(ValueError):
         enumerate_optimal_directions(ENUMERATION_CAP + 1)
-    with pytest.raises(DimensionError):
-        enumerate_optimal_directions(0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(DimensionError):
+            enumerate_optimal_directions(bad)
+    with pytest.raises(ValueError):
+        optimal_family(ENUMERATION_CAP + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, ENUMERATION_CAP])
+def test_optimal_family_representative_and_low_sets(n):
+    family = optimal_family(n)
+    t = optimal_t(n)
+    assert family.t == t
+    assert (family.alpha, family.beta) == alpha_beta(n, t)
+    rep = family.representative
+    assert rep.low_set == frozenset(range(t))
+    assert is_optimal_direction(n, rep.direction)
+    assert next(family.low_sets()) == tuple(range(t))
+    if n <= 8:
+        members = [
+            tuple(family.alpha if i in low else family.beta for i in range(n + 1))
+            for low in family.low_sets()
+        ]
+        assert members == [d.coords for d in enumerate_optimal_directions(n)]
 
 
 def test_make_two_value_direction_validation():

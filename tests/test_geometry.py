@@ -1,12 +1,14 @@
 """Vector, direction, and projection width primitives."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from simplexwidth.geometry import (
+    MAX_ORDER,
     DimensionError,
     Direction,
     PointSet,
@@ -107,6 +109,19 @@ def test_regular_simplex_has_unit_edges(n):
 def test_simplex_order_validation(bad):
     with pytest.raises(DimensionError):
         standard_simplex_vertices(bad)
+
+
+@pytest.mark.parametrize("build", [standard_simplex_vertices, regular_simplex_vertices])
+def test_simplex_order_cap_refuses_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError):
+            build(MAX_ORDER + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One vertex at this order alone would take 8 MB of floats.
+    assert peak < 64 * 1024
 
 
 def test_projection_width_unit_square():

@@ -184,6 +184,8 @@ def test_enumeration_is_exact():
 def test_enumeration_validates_order():
     with pytest.raises(DimensionError):
         two_value_enumeration_width(0)
+    with pytest.raises(DimensionError):
+        two_value_enumeration_width(True)
 
 
 def _reference_minimize_width(points, cfg):
