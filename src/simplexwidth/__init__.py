@@ -40,6 +40,7 @@ from .geometry import (
     MAX_ORDER,
     SUM_ZERO_TOL,
     UNIT_NORM_TOL,
+    VERTEX_MAX_ORDER,
     DimensionError,
     Direction,
     PointSet,
@@ -81,6 +82,7 @@ __all__ = [
     "SimplexKind",
     "TwoValueDirection",
     "UNIT_NORM_TOL",
+    "VERTEX_MAX_ORDER",
     "Vector",
     "WidthResult",
     "alpha_beta",

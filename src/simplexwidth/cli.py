@@ -29,6 +29,7 @@ from .closed_form import (
 )
 from .directions import is_optimal_direction, optimal_family, optimal_t
 from .geometry import (
+    VERTEX_MAX_ORDER,
     DimensionError,
     PreconditionError,
     regular_simplex_vertices,
@@ -41,7 +42,7 @@ TABLE_MAX_N = 10_000
 TABLE_NUMERIC_MAX_N = 100
 VERIFY_MAX_N = 64
 # The optimizer works on the dense (n+1) x (n+1) vertex matrix.
-OPTIMIZE_MAX_N = 1000
+OPTIMIZE_MAX_N = VERTEX_MAX_ORDER
 # `directions --list` writes its lines in chunks of this many: the output
 # runs to ~120 MB at the enumeration cap, so it is never held whole.
 LIST_CHUNK_LINES = 4096

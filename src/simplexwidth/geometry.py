@@ -20,6 +20,10 @@ SUM_ZERO_TOL = 1e-12
 # closed forms; every order check in the package applies it.
 MAX_ORDER = 10**6
 
+# Largest order the vertex builders accept: their (n+1)^2 coordinates are
+# Python floats, about 8 MB at this order.
+VERTEX_MAX_ORDER = 1000
+
 
 class DimensionError(ValueError):
     """Invalid or mismatched ambient dimension."""
@@ -142,21 +146,22 @@ class PointSet:
         return iter(self.points)
 
 
-def check_order(n: int) -> None:
-    """Raise DimensionError unless n is an int (not a bool) in 1..MAX_ORDER."""
+def check_order(n: int, cap: int = MAX_ORDER) -> None:
+    """Raise DimensionError unless n is an int (not a bool) in 1..cap."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DimensionError(f"simplex order must be a positive integer, got {n!r}")
-    if n > MAX_ORDER:
-        raise DimensionError(f"simplex order is capped at {MAX_ORDER}")
+    if n > cap:
+        raise DimensionError(f"simplex order is capped at {cap}")
 
 
 def standard_simplex_vertices(n: int) -> PointSet:
     """Vertices of the basis-vector n-simplex: e_1, ..., e_{n+1} in R^{n+1}.
 
     All pairwise distances are sqrt(2), and every vertex lies on the
-    hyperplane where the coordinates sum to 1.
+    hyperplane where the coordinates sum to 1. Orders above
+    VERTEX_MAX_ORDER raise DimensionError before anything is built.
     """
-    check_order(n)
+    check_order(n, VERTEX_MAX_ORDER)
     points = []
     for i in range(n + 1):
         coords = [0.0] * (n + 1)
@@ -169,8 +174,9 @@ def regular_simplex_vertices(n: int) -> PointSet:
     """Vertices of the unit-edge n-simplex, embedded in R^{n+1}.
 
     The basis-vector simplex scaled by 1/sqrt(2); pairwise distances 1.
+    Orders above VERTEX_MAX_ORDER raise DimensionError.
     """
-    check_order(n)
+    check_order(n, VERTEX_MAX_ORDER)
     s = 1.0 / math.sqrt(2.0)
     base = standard_simplex_vertices(n)
     return PointSet(tuple(p.scaled(s) for p in base))

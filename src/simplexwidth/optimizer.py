@@ -30,6 +30,11 @@ from .closed_form import width_for_t
 from .directions import make_two_value_direction
 from .geometry import DimensionError, Direction, PointSet, Vector, check_order
 
+# The stall rule of `minimize_width` on c*I vertex matrices: check every
+# SNAP_EVERY iterations, stop after PATIENCE checks without progress.
+SNAP_EVERY = 100
+PATIENCE = 5
+
 
 class Method(Enum):
     SUBGRADIENT = "subgradient"
@@ -45,6 +50,11 @@ class OptimizerConfig:
     non-smooth convex objectives; the width landscape on the sphere has
     one local basin per face pair, so restarts are the remedy, each
     initialized from its own sub-seed of ``seed``.
+
+    ``max_iters`` is an upper bound: on the standard and regular
+    simplices `minimize_width` stops earlier once its two-value snap
+    stalls (see there). ``tol`` is the "improved by less than" threshold
+    of both ``converged`` and that stall rule.
     """
 
     restarts: int = 64
@@ -71,6 +81,10 @@ class OptimizerConfig:
 class WidthResult:
     """Achieved width, the direction achieving it, and run metadata.
 
+    ``iterations`` is the count actually run: the subgradient iterations
+    (at most ``max_iters``), the grid directions evaluated, or the orders
+    scanned by the enumeration.
+
     ``width_squared_exact`` is populated only by the exact enumeration
     route, where the squared width is a rational computed without any
     floating point.
@@ -79,7 +93,6 @@ class WidthResult:
     width: float
     direction: Direction
     iterations: int
-    restarts_used: int
     converged: bool
     method: Method
     width_squared_exact: Fraction | None = None
@@ -130,6 +143,28 @@ def _snap_two_valued(u: np.ndarray, constrain_sum_zero: bool) -> np.ndarray | No
     return snapped / norm
 
 
+def _snapped_best_width(
+    best_u: np.ndarray, best_w: np.ndarray, scale: float, sum_zero: bool
+) -> float:
+    """The width the final snap would return if the run stopped now, for
+    a vertex matrix that is ``scale`` times the identity.
+
+    Every incumbent is snapped at once, as `_snap_two_valued` snaps one,
+    and a snap counts only where it does not increase the width, as in
+    the final snap. ``best_u`` is read, not changed.
+    """
+    lo = best_u.min(axis=1, keepdims=True)
+    hi = best_u.max(axis=1, keepdims=True)
+    snapped = np.where(best_u < 0, lo, hi)
+    if sum_zero:
+        snapped -= snapped.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(snapped * snapped, axis=1, keepdims=True))
+    valid = norms[:, 0] >= 1e-12
+    dots = snapped[valid] / norms[valid] * scale
+    snapped_w = dots.max(axis=1) - dots.min(axis=1)
+    return float(min(best_w.min(), snapped_w.min(initial=np.inf)))
+
+
 def _identity_scale(pts: np.ndarray) -> float:
     """The c of a vertex matrix that is exactly c times the identity,
     c != 0 and every off-diagonal entry +0.0; 0.0 for any other matrix.
@@ -148,8 +183,9 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     iterate (ties to the lowest vertex index), projects out the all-ones
     component when constrained, projects out the radial component, steps
     by step_init/sqrt(iter), and renormalizes. The result is an upper
-    bound on the true width; ``converged`` records whether the final
-    iteration improved the best width by less than ``tol``.
+    bound on the true width; ``converged`` records whether the last
+    iteration run improved the best width by less than ``tol``, and
+    ``iterations`` is the number of iterations run.
 
     When the vertex matrix is c times the identity (the standard and
     regular simplices), the projections of an iterate u are just its
@@ -157,6 +193,19 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     of a matrix product. Each dot product has one nonzero term, so the
     scaled coordinates equal the matrix product exactly and the result
     is the same, bit for bit, as on the general path.
+
+    On such a matrix the run also stops early, so ``max_iters`` is only
+    an upper bound. Every SNAP_EVERY iterations it snaps all incumbents
+    onto the two-value family, as the final snap does, and stops at the
+    first check where the width the final snap would return has not
+    fallen by more than ``tol`` over the last PATIENCE checks. The
+    minimizers of the width of a simplex are two-valued, and an
+    incumbent with the optimal sign pattern snaps to the exact optimum,
+    so once one restart reaches that pattern the snapped width stops
+    moving. A run that stops after k iterations returns what a run with
+    ``max_iters=k`` returns. Other point sets have no such structure (a
+    stall rule of this kind cost widths up to 15% on random 4-D and 5-D
+    sets), so they always run ``max_iters`` iterations.
 
     NOTE: a point set that spans an affine hyperplane not through the
     origin (such as a simplex on the coordinates-sum-to-one hyperplane)
@@ -177,6 +226,7 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     inits = _restart_inits(cfg, dim)
     U = inits.copy()
     rows = np.arange(r)
+    checks: list[float] = []
 
     dots = U * scale if scale else U @ pts.T
     hi = dots.argmax(axis=1)
@@ -222,10 +272,18 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
         lo = dots.argmin(axis=1)
         widths = dots[rows, hi] - dots[rows, lo]
         improved = widths < best_w
-        if k == cfg.max_iters:
+        check = scale != 0.0 and k % SNAP_EVERY == 0
+        if check or k == cfg.max_iters:
             last_gain = np.where(improved, best_w - widths, 0.0)
         np.copyto(best_u, U, where=improved[:, None])
         np.copyto(best_w, widths, where=improved)
+        if check:
+            checks.append(_snapped_best_width(best_u, best_w, scale, sum_zero))
+            if (
+                len(checks) > PATIENCE
+                and checks[-1 - PATIENCE] - checks[-1] <= cfg.tol
+            ):
+                break
 
     # Keep a snap only when it does not increase the width.
     for j in range(r):
@@ -244,8 +302,7 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     return WidthResult(
         width=float(best_w[winner]),
         direction=direction,
-        iterations=cfg.max_iters,
-        restarts_used=r,
+        iterations=k,
         converged=bool(last_gain[winner] < cfg.tol),
         method=Method.SUBGRADIENT,
     )
@@ -344,7 +401,6 @@ def grid_width_oracle(
         width=best_w,
         direction=direction,
         iterations=evaluated,
-        restarts_used=0,
         converged=True,
         method=Method.GRID,
     )
@@ -366,7 +422,6 @@ def two_value_enumeration_width(n: int) -> WidthResult:
         width=math.sqrt(w_sq),
         direction=witness.direction,
         iterations=n,
-        restarts_used=0,
         converged=True,
         method=Method.ENUMERATION,
         width_squared_exact=w_sq,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from simplexwidth.geometry import (
     MAX_ORDER,
+    VERTEX_MAX_ORDER,
     DimensionError,
     Direction,
     PointSet,
@@ -109,6 +110,19 @@ def test_regular_simplex_has_unit_edges(n):
 def test_simplex_order_validation(bad):
     with pytest.raises(DimensionError):
         standard_simplex_vertices(bad)
+
+
+@pytest.mark.parametrize("build", [standard_simplex_vertices, regular_simplex_vertices])
+def test_vertex_order_cap_refuses_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError):
+            build(VERTEX_MAX_ORDER + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The vertex list at this order would take about 8 MB.
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("build", [standard_simplex_vertices, regular_simplex_vertices])

@@ -1,5 +1,6 @@
 """Subgradient minimizer, dense grid oracle, and exact enumeration."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from simplexwidth.geometry import (
     standard_simplex_vertices,
 )
 from simplexwidth.optimizer import (
+    SNAP_EVERY,
     Method,
     OptimizerConfig,
     grid_directions,
@@ -31,6 +33,7 @@ from simplexwidth.optimizer import (
     _points_matrix,
     _restart_inits,
     _snap_two_valued,
+    _snapped_best_width,
 )
 
 
@@ -76,8 +79,8 @@ def test_minimize_width_is_deterministic():
     assert a.width == b.width
     assert a.direction.coords == b.direction.coords
     assert a.method is Method.SUBGRADIENT
+    # too few iterations for the stall rule, which stops at 600 at the earliest
     assert a.iterations == 500
-    assert a.restarts_used == 8
 
 
 def test_minimize_width_single_point_is_zero():
@@ -270,6 +273,70 @@ def test_minimize_width_is_bitwise_equal_to_the_reference_loop(points, sum_zero)
     assert result.direction.coords == coords
     assert result.converged == converged
     assert result.iterations == iterations
+
+
+@pytest.mark.parametrize(
+    "points,sum_zero",
+    [case[1:] for case in EQUIVALENCE_CASES],
+    ids=[case[0] for case in EQUIVALENCE_CASES],
+)
+def test_early_stop_is_the_reference_loop_cut_short(points, sum_zero):
+    # a c*I run that stops after k iterations returns exactly what the
+    # textbook loop returns with max_iters=k; other point sets never stop
+    cfg = OptimizerConfig(seed=41, constrain_sum_zero=sum_zero)
+    result = minimize_width(points, cfg)
+    if not _identity_scale(_points_matrix(points)):
+        assert result.iterations == cfg.max_iters
+        return
+    assert result.iterations < cfg.max_iters
+    assert result.iterations % SNAP_EVERY == 0
+    cut = dataclasses.replace(cfg, max_iters=result.iterations)
+    width, coords, converged, iterations = _reference_minimize_width(points, cut)
+    assert result.width == width
+    assert result.direction.coords == coords
+    assert result.converged == converged
+    assert result.iterations == iterations
+
+
+@pytest.mark.parametrize("n", [5, 7, 12])
+@pytest.mark.parametrize("restarts", [1, 4])
+def test_early_stop_keeps_the_full_run_width(n, restarts):
+    points = standard_simplex_vertices(n)
+    for seed in range(3):
+        cfg = OptimizerConfig(restarts=restarts, seed=seed, constrain_sum_zero=True)
+        result = minimize_width(points, cfg)
+        assert result.iterations < cfg.max_iters
+        width, coords, _, _ = _reference_minimize_width(points, cfg)
+        assert abs(result.width - width) <= 1e-12 * width
+        assert is_optimal_direction(n, result.direction) == is_optimal_direction(
+            n, Direction(Vector(coords), sum_zero=True)
+        )
+
+
+@pytest.mark.parametrize("sum_zero", [True, False])
+def test_snapped_best_width_matches_the_final_snap(sum_zero):
+    # the stall check snaps all rows at once; the final snap snaps one
+    # row at a time with _snap_two_valued
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        u = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(2, 9))))
+        if trial % 5 == 0:
+            u = np.abs(u)
+        if trial % 7 == 0:
+            u = -np.abs(u)
+        if trial % 11 == 0:
+            u[:, 0] = 0.0
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        best_w = rng.uniform(0.0, 2.0, len(u))
+        for scale in (1.0, 1.0 / math.sqrt(2.0)):
+            expected = best_w.min()
+            for row in u:
+                snapped = _snap_two_valued(row, sum_zero)
+                if snapped is not None:
+                    dots = scale * snapped
+                    expected = min(expected, dots.max() - dots.min())
+            got = _snapped_best_width(u, best_w, scale, sum_zero)
+            assert abs(got - expected) <= 1e-14
 
 
 def test_identity_scale_detects_only_scaled_identities():
