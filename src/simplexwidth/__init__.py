@@ -33,7 +33,6 @@ from .energy import (
     ENERGY_REL_TOL,
     EnergyReport,
     center_vector,
-    clamp_to_extremes,
     energy_push,
 )
 from .geometry import (
@@ -52,7 +51,6 @@ from .geometry import (
     standard_simplex_vertices,
 )
 from .optimizer import (
-    Method,
     OptimizerConfig,
     WidthResult,
     grid_directions,
@@ -74,7 +72,6 @@ __all__ = [
     "ExactScalar",
     "MAX_ORDER",
     "MEMBERSHIP_TOL",
-    "Method",
     "OptimizerConfig",
     "PointSet",
     "PreconditionError",
@@ -91,7 +88,6 @@ __all__ = [
     "center_vector",
     "circumdistance_squared",
     "circumradius_squared",
-    "clamp_to_extremes",
     "derive_seed",
     "distance",
     "energy_fuzz",

@@ -43,6 +43,9 @@ TABLE_NUMERIC_MAX_N = 100
 VERIFY_MAX_N = 64
 # The optimizer works on the dense (n+1) x (n+1) vertex matrix.
 OPTIMIZE_MAX_N = VERTEX_MAX_ORDER
+# Each restart is one row of every restarts x (n+1) optimizer array and
+# one spawned seed sequence; the cap keeps those arrays near 8 MB at n = 1000.
+MAX_RESTARTS = 1024
 # `directions --list` writes its lines in chunks of this many: the output
 # runs to ~120 MB at the enumeration cap, so it is never held whole.
 LIST_CHUNK_LINES = 4096
@@ -250,6 +253,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _restarts_type(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_RESTARTS:
+        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_RESTARTS}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplexwidth",
@@ -265,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append the numeric minimizer's width and its absolute error",
     )
-    table.add_argument("--restarts", type=_positive_int, default=64)
+    table.add_argument("--restarts", type=_restarts_type, default=64)
     table.add_argument("--seed", type=_seed_type, default=0)
     table.set_defaults(func=cmd_table)
 
@@ -281,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize", help="numerically minimize the width of the standard simplex"
     )
     optimize.add_argument("--n", type=_positive_int, required=True)
-    optimize.add_argument("--restarts", type=_positive_int, default=64)
+    optimize.add_argument("--restarts", type=_restarts_type, default=64)
     optimize.add_argument("--seed", type=_seed_type, default=0)
     optimize.add_argument("--tol", type=float, default=1e-10)
     optimize.set_defaults(func=cmd_optimize)

@@ -4,9 +4,9 @@ The energy of v is the squared norm of v after subtracting its
 coordinate mean, which is also the minimum 1-mean clustering cost of
 the numbers v_1, ..., v_d. Moving any single coordinate strictly away
 from the mean strictly increases the energy; `energy_push` makes that
-statement executable, and `clamp_to_extremes` is the coordinate
-rounding step that exploits it when hunting for width-minimizing
-directions.
+statement executable. The rounding step that exploits it, clamping
+every coordinate of a direction to its own extremes, is the two-value
+snap of `optimizer.minimize_width`.
 """
 
 from __future__ import annotations
@@ -105,14 +105,3 @@ def energy_push(
         increased = gap > ENERGY_REL_TOL * max(1.0, before.energy)
     return before, after, increased
 
-
-def clamp_to_extremes(z: Vector, alpha: float, beta: float) -> Vector:
-    """Round every coordinate to one of two values by sign: alpha where
-    z_i < 0, beta where z_i >= 0.
-
-    With alpha = min(z) and beta = max(z) this preserves the spread
-    beta - alpha while pushing every interior coordinate outward; for a
-    unit sum-zero z that is not already two-valued, the centered clamp
-    has norm strictly greater than 1.
-    """
-    return Vector(tuple(alpha if c < 0 else beta for c in z.coords))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
@@ -34,12 +33,6 @@ from .geometry import DimensionError, Direction, PointSet, Vector, check_order
 # SNAP_EVERY iterations, stop after PATIENCE checks without progress.
 SNAP_EVERY = 100
 PATIENCE = 5
-
-
-class Method(Enum):
-    SUBGRADIENT = "subgradient"
-    GRID = "grid"
-    ENUMERATION = "enumeration"
 
 
 @dataclass(frozen=True)
@@ -94,7 +87,6 @@ class WidthResult:
     direction: Direction
     iterations: int
     converged: bool
-    method: Method
     width_squared_exact: Fraction | None = None
 
 
@@ -129,40 +121,44 @@ def _restart_inits(cfg: OptimizerConfig, dim: int) -> np.ndarray:
     return rows
 
 
-def _snap_two_valued(u: np.ndarray, constrain_sum_zero: bool) -> np.ndarray | None:
-    """Candidate polish: clamp coordinates to the iterate's own extremes
-    by sign, re-center if constrained, renormalize. Recovers the exact
-    two-value direction from a noisy near-optimal iterate."""
-    lo, hi = u.min(), u.max()
-    snapped = np.where(u < 0, lo, hi)
-    if constrain_sum_zero:
-        snapped = snapped - snapped.mean()
-    norm = np.linalg.norm(snapped)
-    if norm < 1e-12:
-        return None
-    return snapped / norm
+def _snap(
+    best_u: np.ndarray,
+    best_w: np.ndarray,
+    pts: np.ndarray,
+    scale: float,
+    sum_zero: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Snap every row of ``best_u`` onto the two-value family: clamp each
+    coordinate to its row's own extremes by sign, re-center the row if
+    constrained, renormalize. A row takes its snap only where the snap's
+    norm is at least 1e-12 and its width does not exceed ``best_w``.
+    Returns the new directions and widths; the inputs are not changed.
 
-
-def _snapped_best_width(
-    best_u: np.ndarray, best_w: np.ndarray, scale: float, sum_zero: bool
-) -> float:
-    """The width the final snap would return if the run stopped now, for
-    a vertex matrix that is ``scale`` times the identity.
-
-    Every incumbent is snapped at once, as `_snap_two_valued` snaps one,
-    and a snap counts only where it does not increase the width, as in
-    the final snap. ``best_u`` is read, not changed.
+    This is the rounding step of the energy argument, which recovers the
+    exact two-value direction from a noisy near-optimal iterate. It is
+    the one snap of `minimize_width`: the stall check reads its widths,
+    and the final snap keeps its result. The arithmetic is that of
+    snapping one row at a time: each row norm is one dot product, as in
+    `np.linalg.norm` of a vector, and each projection a matrix-vector
+    product, or ``scale`` times the row for a vertex matrix that is
+    ``scale`` times the identity.
     """
     lo = best_u.min(axis=1, keepdims=True)
     hi = best_u.max(axis=1, keepdims=True)
     snapped = np.where(best_u < 0, lo, hi)
     if sum_zero:
         snapped -= snapped.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.add.reduce(snapped * snapped, axis=1, keepdims=True))
+    norms = np.sqrt(np.matmul(snapped[:, None, :], snapped[:, :, None])[:, 0])
     valid = norms[:, 0] >= 1e-12
-    dots = snapped[valid] / norms[valid] * scale
-    snapped_w = dots.max(axis=1) - dots.min(axis=1)
-    return float(min(best_w.min(), snapped_w.min(initial=np.inf)))
+    norms[~valid] = 1.0
+    snapped /= norms
+    if scale:
+        dots = snapped * scale
+    else:
+        dots = np.matmul(pts, snapped[:, :, None])[:, :, 0]
+    widths = dots.max(axis=1) - dots.min(axis=1)
+    keep = valid & (widths <= best_w)
+    return np.where(keep[:, None], snapped, best_u), np.where(keep, widths, best_w)
 
 
 def _identity_scale(pts: np.ndarray) -> float:
@@ -182,10 +178,12 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     Each iteration takes the subgradient p_max - p_min at the current
     iterate (ties to the lowest vertex index), projects out the all-ones
     component when constrained, projects out the radial component, steps
-    by step_init/sqrt(iter), and renormalizes. The result is an upper
-    bound on the true width; ``converged`` records whether the last
-    iteration run improved the best width by less than ``tol``, and
-    ``iterations`` is the number of iterations run.
+    by step_init/sqrt(iter), and renormalizes. After the last iteration
+    `_snap` snaps each restart's incumbent onto the two-value family,
+    and the best width wins. The result is an upper bound on the true
+    width; ``converged`` records whether the last iteration run improved
+    the best width by less than ``tol``, and ``iterations`` is the
+    number of iterations run.
 
     When the vertex matrix is c times the identity (the standard and
     regular simplices), the projections of an iterate u are just its
@@ -195,9 +193,9 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     is the same, bit for bit, as on the general path.
 
     On such a matrix the run also stops early, so ``max_iters`` is only
-    an upper bound. Every SNAP_EVERY iterations it snaps all incumbents
-    onto the two-value family, as the final snap does, and stops at the
-    first check where the width the final snap would return has not
+    an upper bound. Every SNAP_EVERY iterations it calls the same
+    `_snap` on the incumbents, without keeping its result, and stops at
+    the first check where the width the final snap would return has not
     fallen by more than ``tol`` over the last PATIENCE checks. The
     minimizers of the width of a simplex are two-valued, and an
     incumbent with the optimal sign pattern snaps to the exact optimum,
@@ -278,24 +276,14 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
         np.copyto(best_u, U, where=improved[:, None])
         np.copyto(best_w, widths, where=improved)
         if check:
-            checks.append(_snapped_best_width(best_u, best_w, scale, sum_zero))
+            checks.append(float(_snap(best_u, best_w, pts, scale, sum_zero)[1].min()))
             if (
                 len(checks) > PATIENCE
                 and checks[-1 - PATIENCE] - checks[-1] <= cfg.tol
             ):
                 break
 
-    # Keep a snap only when it does not increase the width.
-    for j in range(r):
-        snapped = _snap_two_valued(best_u[j], sum_zero)
-        if snapped is None:
-            continue
-        projections = pts @ snapped
-        w = float(projections.max() - projections.min())
-        if w <= best_w[j]:
-            best_u[j] = snapped
-            best_w[j] = w
-
+    best_u, best_w = _snap(best_u, best_w, pts, scale, sum_zero)
     winner = int(np.argmin(best_w))
     u = best_u[winner]
     direction = Direction(Vector(tuple(u)), sum_zero=sum_zero)
@@ -304,7 +292,6 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
         direction=direction,
         iterations=k,
         converged=bool(last_gain[winner] < cfg.tol),
-        method=Method.SUBGRADIENT,
     )
 
 
@@ -402,7 +389,6 @@ def grid_width_oracle(
         direction=direction,
         iterations=evaluated,
         converged=True,
-        method=Method.GRID,
     )
 
 
@@ -423,6 +409,5 @@ def two_value_enumeration_width(n: int) -> WidthResult:
         direction=witness.direction,
         iterations=n,
         converged=True,
-        method=Method.ENUMERATION,
         width_squared_exact=w_sq,
     )

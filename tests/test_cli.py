@@ -231,6 +231,23 @@ def test_optimize_cap_is_usage_error(capsys):
     assert "1..1000" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("optimize", "--n", "2"), ("table", "--max-n", "2", "--include-numeric")],
+    ids=["optimize", "table"],
+)
+def test_restarts_cap_is_usage_error(capsys, argv):
+    # rejected by argument parsing, before any restart is set up
+    over = str(cli.MAX_RESTARTS + 1)
+    code, out, err = run(capsys, *argv, "--restarts", over)
+    assert code == 2
+    assert "error:" in err
+    assert f"1..{cli.MAX_RESTARTS}" in err
+    assert out == ""
+    at_cap = cli.build_parser().parse_args([*argv, "--restarts", str(cli.MAX_RESTARTS)])
+    assert at_cap.restarts == cli.MAX_RESTARTS
+
+
 def test_optimize_determinism(capsys):
     args = ("optimize", "--n", "4", "--restarts", "8", "--seed", "3")
     _, first, _ = run(capsys, *args)

@@ -8,13 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexwidth.energy import (
-    EnergyReport,
-    center_vector,
-    clamp_to_extremes,
-    energy_push,
-)
+from simplexwidth.energy import EnergyReport, center_vector, energy_push
 from simplexwidth.geometry import PreconditionError, Vector
+from simplexwidth.optimizer import _snap
 
 
 def test_center_vector_basic():
@@ -155,14 +151,6 @@ def test_outward_moves_always_increase_energy(coords, data):
     assert after.energy > before.energy
 
 
-def test_clamp_to_extremes_by_sign():
-    out = clamp_to_extremes(Vector((-0.3, 0.1, 0.7)), -0.3, 0.7)
-    assert out.coords == (-0.3, 0.7, 0.7)
-    # zero counts as high
-    out = clamp_to_extremes(Vector((0.0, -1.0)), -1.0, 2.0)
-    assert out.coords == (2.0, -1.0)
-
-
 @settings(max_examples=300)
 @given(
     st.integers(min_value=2, max_value=12),
@@ -176,13 +164,12 @@ def test_clamping_unit_sum_zero_never_loses_energy(dim, seed):
     if norm < 1e-9:
         return
     z /= norm
-    v = Vector(tuple(z))
-    clamped = clamp_to_extremes(v, min(v.coords), max(v.coords))
-    centered = center_vector(clamped).centered
-    nsq = centered.norm_squared()
-    assert nsq >= 1.0 - 1e-12
-    displacement = sum(
-        (c - min(v.coords)) if c < 0 else (max(v.coords) - c) for c in v.coords
-    )
+    # the snap clamps z to its extremes, re-centers and renormalizes; on
+    # the standard simplex its width is spread(z) over the norm of the
+    # centered clamp, so "norm^2 >= 1" reads as "the width never grows"
+    spread = z.max() - z.min()
+    _, snapped_w = _snap(z[None, :], np.array([np.inf]), np.eye(dim), 1.0, True)
+    assert snapped_w[0] <= spread / math.sqrt(1.0 - 1e-12)
+    displacement = np.where(z < 0, z - z.min(), z.max() - z).sum()
     if displacement > 1e-6:
-        assert nsq > 1.0
+        assert snapped_w[0] < spread

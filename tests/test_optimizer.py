@@ -20,7 +20,6 @@ from simplexwidth.geometry import (
 )
 from simplexwidth.optimizer import (
     SNAP_EVERY,
-    Method,
     OptimizerConfig,
     grid_directions,
     grid_width_oracle,
@@ -32,8 +31,7 @@ from simplexwidth.optimizer import (
     _identity_scale,
     _points_matrix,
     _restart_inits,
-    _snap_two_valued,
-    _snapped_best_width,
+    _snap,
 )
 
 
@@ -78,7 +76,6 @@ def test_minimize_width_is_deterministic():
     b = minimize_width(points, cfg)
     assert a.width == b.width
     assert a.direction.coords == b.direction.coords
-    assert a.method is Method.SUBGRADIENT
     # too few iterations for the stall rule, which stops at 600 at the earliest
     assert a.iterations == 500
 
@@ -143,7 +140,6 @@ def test_grid_dimension_one_is_the_antipodes():
     result = grid_width_oracle(points, 8)
     assert result.width == 3.0
     assert result.iterations == 2
-    assert result.method is Method.GRID
 
 
 def test_grid_circle_counts_and_square_width():
@@ -179,7 +175,6 @@ def test_enumeration_is_exact():
         result = two_value_enumeration_width(n)
         assert result.width_squared_exact == width_squared(n, SimplexKind.STANDARD)
         assert result.width == math.sqrt(result.width_squared_exact)
-        assert result.method is Method.ENUMERATION
         assert isinstance(result.width_squared_exact, Fraction)
         assert is_optimal_direction(n, result.direction)
 
@@ -189,6 +184,34 @@ def test_enumeration_validates_order():
         two_value_enumeration_width(0)
     with pytest.raises(DimensionError):
         two_value_enumeration_width(True)
+
+
+def _reference_snap(u, constrain_sum_zero):
+    """The textbook two-value snap of one direction: clamp coordinates
+    to its own extremes by sign, re-center if constrained, renormalize;
+    None when the result is (nearly) zero."""
+    lo, hi = u.min(), u.max()
+    snapped = np.where(u < 0, lo, hi)
+    if constrain_sum_zero:
+        snapped = snapped - snapped.mean()
+    norm = np.linalg.norm(snapped)
+    if norm < 1e-12:
+        return None
+    return snapped / norm
+
+
+def _reference_snap_rows(best_u, best_w, pts, constrain_sum_zero):
+    """Snap the rows of ``best_u`` one at a time, in place, keeping a
+    snap only when it does not increase the width in ``best_w``."""
+    for j in range(len(best_u)):
+        snapped = _reference_snap(best_u[j], constrain_sum_zero)
+        if snapped is None:
+            continue
+        projections = pts @ snapped
+        w = float(projections.max() - projections.min())
+        if w <= best_w[j]:
+            best_u[j] = snapped
+            best_w[j] = w
 
 
 def _reference_minimize_width(points, cfg):
@@ -227,15 +250,7 @@ def _reference_minimize_width(points, cfg):
         last_gain = np.where(improved, best_w - widths, 0.0)
         best_u[improved] = U[improved]
         best_w = np.where(improved, widths, best_w)
-    for j in range(r):
-        snapped = _snap_two_valued(best_u[j], cfg.constrain_sum_zero)
-        if snapped is None:
-            continue
-        projections = pts @ snapped
-        w = float(projections.max() - projections.min())
-        if w <= best_w[j]:
-            best_u[j] = snapped
-            best_w[j] = w
+    _reference_snap_rows(best_u, best_w, pts, cfg.constrain_sum_zero)
     winner = int(np.argmin(best_w))
     coords = Vector(tuple(best_u[winner])).coords
     converged = bool(last_gain[winner] < cfg.tol)
@@ -314,29 +329,47 @@ def test_early_stop_keeps_the_full_run_width(n, restarts):
 
 
 @pytest.mark.parametrize("sum_zero", [True, False])
-def test_snapped_best_width_matches_the_final_snap(sum_zero):
-    # the stall check snaps all rows at once; the final snap snaps one
-    # row at a time with _snap_two_valued
+@pytest.mark.parametrize(
+    "scale", [1.0, 1.0 / math.sqrt(2.0), 0.0], ids=["c=1", "c=1/sqrt2", "general"]
+)
+def test_snap_is_bitwise_the_per_row_snap(scale, sum_zero):
+    # scale 0.0 stands for a general vertex matrix
     rng = np.random.default_rng(5)
+    kept = {"no snap": 0, "wider": 0}
     for trial in range(300):
-        u = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(2, 9))))
-        if trial % 5 == 0:
-            u = np.abs(u)
-        if trial % 7 == 0:
-            u = -np.abs(u)
-        if trial % 11 == 0:
-            u[:, 0] = 0.0
+        r, dim = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        u = rng.standard_normal((r, dim))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        best_w = rng.uniform(0.0, 2.0, len(u))
-        for scale in (1.0, 1.0 / math.sqrt(2.0)):
-            expected = best_w.min()
-            for row in u:
-                snapped = _snap_two_valued(row, sum_zero)
-                if snapped is not None:
-                    dots = scale * snapped
-                    expected = min(expected, dots.max() - dots.min())
-            got = _snapped_best_width(u, best_w, scale, sum_zero)
-            assert abs(got - expected) <= 1e-14
+        if trial % 5 == 0:
+            u[0] = np.abs(u[0])  # one sign only: no snap under sum zero
+        if trial % 7 == 0:
+            u[-1] = 0.0  # no snap at all
+        best_w = rng.uniform(0.0, 3.0, r)
+        if trial % 3 == 0:
+            best_w[0] = 0.0  # any nonzero snapped width is wider
+        if scale:
+            pts = np.diag(np.full(dim, scale))
+        else:
+            pts = rng.standard_normal((int(rng.integers(1, 9)), dim))
+        u_in, w_in = u.copy(), best_w.copy()
+        got_u, got_w = _snap(u, best_w, pts, scale, sum_zero)
+        assert u.tobytes() == u_in.tobytes() and best_w.tobytes() == w_in.tobytes()
+        expected_u, expected_w = u.copy(), best_w.copy()
+        _reference_snap_rows(expected_u, expected_w, pts, sum_zero)
+        assert got_u.tobytes() == expected_u.tobytes()
+        assert got_w.tobytes() == expected_w.tobytes()
+        # a row without a snap, or whose snap is wider, comes back unchanged
+        for j in range(r):
+            snapped = _reference_snap(u[j], sum_zero)
+            if snapped is None:
+                kept["no snap"] += 1
+            elif np.ptp(pts @ snapped) > best_w[j]:
+                kept["wider"] += 1
+            else:
+                continue
+            assert got_u[j].tobytes() == u[j].tobytes()
+            assert got_w[j] == best_w[j]
+    assert min(kept.values()) > 0
 
 
 def test_identity_scale_detects_only_scaled_identities():
