@@ -7,7 +7,6 @@ enumeration) that cross-check the formulas.
 """
 
 from .closed_form import (
-    ExactScalar,
     SimplexKind,
     alpha_beta,
     alpha_beta_squared,
@@ -69,7 +68,6 @@ __all__ = [
     "ENERGY_REL_TOL",
     "ENUMERATION_CAP",
     "EnergyReport",
-    "ExactScalar",
     "MAX_ORDER",
     "MEMBERSHIP_TOL",
     "OptimizerConfig",

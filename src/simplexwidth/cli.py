@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 from .closed_form import (
     SimplexKind,
@@ -46,6 +46,10 @@ OPTIMIZE_MAX_N = VERTEX_MAX_ORDER
 # Each restart is one row of every restarts x (n+1) optimizer array and
 # one spawned seed sequence; the cap keeps those arrays near 8 MB at n = 1000.
 MAX_RESTARTS = 1024
+# `directions` prints the family size C(n+1, t) in decimal; 14,290 is the
+# largest order whose size fits Python's default 4,300-digit limit on
+# int-to-str conversion.
+DIRECTIONS_MAX_N = 14_290
 # `directions --list` writes its lines in chunks of this many: the output
 # runs to ~120 MB at the enumeration cap, so it is never held whole.
 LIST_CHUNK_LINES = 4096
@@ -253,11 +257,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _restarts_type(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_RESTARTS:
-        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_RESTARTS}")
-    return value
+def _bounded_int(limit: int) -> Callable[[str], int]:
+    """Argument type for a positive integer of at most ``limit``."""
+
+    def parse(text: str) -> int:
+        value = _positive_int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be in 1..{limit}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append the numeric minimizer's width and its absolute error",
     )
-    table.add_argument("--restarts", type=_restarts_type, default=64)
+    table.add_argument("--restarts", type=_bounded_int(MAX_RESTARTS), default=64)
     table.add_argument("--seed", type=_seed_type, default=0)
     table.set_defaults(func=cmd_table)
 
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize", help="numerically minimize the width of the standard simplex"
     )
     optimize.add_argument("--n", type=_positive_int, required=True)
-    optimize.add_argument("--restarts", type=_restarts_type, default=64)
+    optimize.add_argument("--restarts", type=_bounded_int(MAX_RESTARTS), default=64)
     optimize.add_argument("--seed", type=_seed_type, default=0)
     optimize.add_argument("--tol", type=float, default=1e-10)
     optimize.set_defaults(func=cmd_optimize)
@@ -299,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     directions = sub.add_parser(
         "directions", help="optimal direction family for one order"
     )
-    directions.add_argument("--n", type=_positive_int, required=True)
+    directions.add_argument(
+        "--n", type=_bounded_int(DIRECTIONS_MAX_N), required=True
+    )
     directions.add_argument(
         "--list", action="store_true", help="print every member, one per line"
     )

@@ -29,10 +29,6 @@ from fractions import Fraction
 # check_order.
 from .geometry import MAX_ORDER, Vector, check_order
 
-# Public alias: squared widths, radii, and two-value coordinates are
-# exact rationals in lowest terms with positive denominator.
-ExactScalar = Fraction
-
 
 class SimplexKind(Enum):
     STANDARD = "standard"

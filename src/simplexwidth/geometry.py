@@ -40,10 +40,10 @@ class Vector:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
+        coords = tuple(map(float, self.coords))
         if len(coords) == 0:
             raise DimensionError("a vector needs at least one coordinate")
-        if not all(math.isfinite(c) for c in coords):
+        if not all(map(math.isfinite, coords)):
             raise ValueError("vector coordinates must be finite")
         object.__setattr__(self, "coords", coords)
 

@@ -21,13 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .closed_form import width_for_t
 from .directions import make_two_value_direction
 from .geometry import DimensionError, Direction, PointSet, Vector, check_order
+
+# numpy is imported in the body of each function that uses it, so that
+# importing the package, as the exact CLI commands do, does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # The stall rule of `minimize_width` on c*I vertex matrices: check every
 # SNAP_EVERY iterations, stop after PATIENCE checks without progress.
@@ -91,6 +94,8 @@ class WidthResult:
 
 
 def _points_matrix(points: PointSet) -> np.ndarray:
+    import numpy as np
+
     return np.array([p.coords for p in points], dtype=float)
 
 
@@ -104,6 +109,8 @@ def _batch_widths(dirs: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def _restart_inits(cfg: OptimizerConfig, dim: int) -> np.ndarray:
     """One unit start per restart, drawn from per-restart sub-seeds:
     Gaussian sample, project into the constraint subspace, normalize."""
+    import numpy as np
+
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     rows = np.empty((cfg.restarts, dim))
     for k, child in enumerate(children):
@@ -143,6 +150,8 @@ def _snap(
     product, or ``scale`` times the row for a vertex matrix that is
     ``scale`` times the identity.
     """
+    import numpy as np
+
     lo = best_u.min(axis=1, keepdims=True)
     hi = best_u.max(axis=1, keepdims=True)
     snapped = np.where(best_u < 0, lo, hi)
@@ -165,6 +174,8 @@ def _identity_scale(pts: np.ndarray) -> float:
     """The c of a vertex matrix that is exactly c times the identity,
     c != 0 and every off-diagonal entry +0.0; 0.0 for any other matrix.
     The standard simplex has c = 1, the regular one c = 1/sqrt(2)."""
+    import numpy as np
+
     rows, dim = pts.shape
     c = float(pts[0, 0])
     if rows != dim or c == 0.0:
@@ -210,6 +221,8 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     has unconstrained width 0 along the hyperplane's normal; pass
     ``constrain_sum_zero=True`` to search parallel to that hyperplane.
     """
+    import numpy as np
+
     dim = points.dim
     sum_zero = cfg.constrain_sum_zero
     if sum_zero and dim < 2:
@@ -297,6 +310,8 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
 
 def _constraint_basis(dim: int, constrain_sum_zero: bool) -> np.ndarray:
     """Orthonormal rows spanning the search subspace."""
+    import numpy as np
+
     if not constrain_sum_zero:
         return np.eye(dim)
     _, _, vh = np.linalg.svd(np.ones((1, dim)))
@@ -316,6 +331,8 @@ def grid_directions(
     with ``resolution`` angles, or a sphere with ``resolution``
     subdivisions per polar and azimuthal angle).
     """
+    import numpy as np
+
     if resolution < 8:
         raise ValueError("grid resolution must be at least 8")
     search_dim = dim - 1 if constrain_sum_zero else dim
@@ -371,6 +388,8 @@ def grid_width_oracle(
     width. Only search dimensions up to 3 are supported; use it as a
     desk-scale oracle, not a general solver.
     """
+    import numpy as np
+
     pts = _points_matrix(points)
     best_w = math.inf
     best_u: np.ndarray | None = None

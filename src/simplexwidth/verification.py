@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .closed_form import (
     SimplexKind,
     alpha_beta_squared,
@@ -34,6 +32,9 @@ from .geometry import (
 )
 from .optimizer import OptimizerConfig, minimize_width, two_value_enumeration_width
 
+# numpy is imported in the body of each function that uses it (see
+# optimizer.py), so that importing this module does not load it.
+
 EXACT_MAX_N = 64
 RADII_MAX_N = 32
 ODD_FAMILY_MAX_N = 11
@@ -51,6 +52,8 @@ class CheckResult:
 
 def derive_seed(seed: int, *key: int) -> int:
     """Child seed from the run seed and an integer key path."""
+    import numpy as np
+
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
@@ -174,6 +177,8 @@ def energy_fuzz(trials: int, seed: int) -> tuple[int, int]:
     on [2, 50]. The move size is kept at least 1e-3 so that a true
     strict increase can never be swallowed by the float verdict gap.
     """
+    import numpy as np
+
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     violations = 0
     for _ in range(trials):

@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +172,18 @@ def test_directions_cap_is_usage_error(capsys):
     assert out == ""
 
 
+def test_directions_summary_cap_is_usage_error(capsys):
+    # the largest order whose family size prints in decimal; one more is
+    # rejected by argument parsing, before anything is computed or printed
+    code, out, _ = run(capsys, "directions", "--n", str(cli.DIRECTIONS_MAX_N))
+    assert code == 0
+    assert out.startswith(f"n: {cli.DIRECTIONS_MAX_N}\n")
+    code, out, err = run(capsys, "directions", "--n", str(cli.DIRECTIONS_MAX_N + 1))
+    assert code == 2
+    assert f"1..{cli.DIRECTIONS_MAX_N}" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_directions_list_matches_the_enumerated_family(capsys, n):
     code, out, _ = run(capsys, "directions", "--n", str(n), "--list")
@@ -298,3 +313,52 @@ def test_no_color_env_is_respected(monkeypatch):
     assert not cli._use_color(FakeTty())
     monkeypatch.delenv("NO_COLOR", raising=False)
     assert not cli._use_color(io.StringIO())
+
+
+EXACT_COMMANDS = [
+    ["table", "--max-n", "20"],
+    ["table", "--max-n", "20", "--format", "json"],
+    ["width", "--n", "5", "--exact"],
+    ["directions", "--n", "5"],
+    ["directions", "--n", "5", "--list"],
+]
+
+# Blocks numpy, imports the package eagerly as usual, runs each command
+# given as JSON in argv[1] and prints its exit code and stdout as JSON,
+# followed by the numeric modules that were imported.
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import simplexwidth, simplexwidth.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = simplexwidth.cli.main(argv)
+    runs.append([code, out.getvalue()])
+modules = ["simplexwidth.optimizer", "simplexwidth.verification", "simplexwidth.energy"]
+print(json.dumps({"runs": runs, "modules": [m for m in modules if m in sys.modules]}))
+"""
+
+
+def test_exact_commands_run_without_numpy(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(EXACT_COMMANDS)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    # the tracer of the benchmark finds its hooks in these modules
+    assert report["modules"] == [
+        "simplexwidth.optimizer",
+        "simplexwidth.verification",
+        "simplexwidth.energy",
+    ]
+    for argv, (code, out) in zip(EXACT_COMMANDS, report["runs"]):
+        assert code == 0, argv
+        assert out == run(capsys, *argv)[1], argv
