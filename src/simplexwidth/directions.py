@@ -100,7 +100,7 @@ def make_two_value_direction(
             f"low_set must contain exactly t={t} distinct indices, got {len(low)}"
         )
     a, b = alpha_beta(n, t)
-    coords = tuple(a if i in low else b for i in range(n + 1))
+    coords = tuple([a if i in low else b for i in range(n + 1)])
     return TwoValueDirection(
         n=n, t=t, low_set=low, direction=Direction(Vector(coords), sum_zero=True)
     )
@@ -139,7 +139,7 @@ def is_optimal_direction(n: int, u: Direction) -> bool:
 
     t = optimal_t(n)
     a, b = alpha_beta(n, t)
-    for coords in (u.coords, tuple(-c for c in u.coords)):
+    for coords in (u.coords, [-c for c in u.coords]):
         low = sum(1 for c in coords if abs(c - a) <= MEMBERSHIP_TOL)
         high = sum(1 for c in coords if abs(c - b) <= MEMBERSHIP_TOL)
         # low + high == n+1 forces every coordinate onto one of the two

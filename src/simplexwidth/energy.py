@@ -41,7 +41,7 @@ class EnergyReport:
 def center_vector(v: Vector) -> EnergyReport:
     """Subtract the coordinate mean and report the resulting energy."""
     mean = math.fsum(v.coords) / v.dim
-    centered = Vector(tuple(c - mean for c in v.coords))
+    centered = Vector(tuple([c - mean for c in v.coords]))
     return EnergyReport(mean=mean, centered=centered, energy=centered.norm_squared())
 
 

@@ -40,7 +40,11 @@ class Vector:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(map(float, self.coords))
+        if isinstance(self.coords, (str, bytes, bytearray)):
+            raise TypeError("vector coordinates must be numbers, not str or bytes")
+        # Built from a list: tuple() of a map grows by reallocation and
+        # leaves the heap fragmented when many vectors of mixed size are made.
+        coords = tuple([*map(float, self.coords)])
         if len(coords) == 0:
             raise DimensionError("a vector needs at least one coordinate")
         if not all(map(math.isfinite, coords)):
@@ -68,7 +72,7 @@ class Vector:
         return math.fsum(self.coords)
 
     def scaled(self, s: float) -> Vector:
-        return Vector(tuple(s * c for c in self.coords))
+        return Vector(tuple([s * c for c in self.coords]))
 
 
 @dataclass(frozen=True)

@@ -299,7 +299,7 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     best_u, best_w = _snap(best_u, best_w, pts, scale, sum_zero)
     winner = int(np.argmin(best_w))
     u = best_u[winner]
-    direction = Direction(Vector(tuple(u)), sum_zero=sum_zero)
+    direction = Direction(Vector(tuple(u.tolist())), sum_zero=sum_zero)
     return WidthResult(
         width=float(best_w[winner]),
         direction=direction,
@@ -402,7 +402,7 @@ def grid_width_oracle(
             best_u = chunk[j].copy()
         evaluated += len(chunk)
     assert best_u is not None
-    direction = Direction(Vector(tuple(best_u)), sum_zero=constrain_sum_zero)
+    direction = Direction(Vector(tuple(best_u.tolist())), sum_zero=constrain_sum_zero)
     return WidthResult(
         width=best_w,
         direction=direction,

@@ -118,10 +118,7 @@ def check_radii_distances(max_n: int = RADII_MAX_N) -> CheckResult:
                 return CheckResult(name, False, f"vertex distance off at n={n}, j={j}")
             others = [p for k, p in enumerate(vertices) if k != j]
             centroid = Vector(
-                tuple(
-                    math.fsum(p.coords[i] for p in others) / n
-                    for i in range(n + 1)
-                )
+                tuple([math.fsum(p.coords[i] for p in others) / n for i in range(n + 1)])
             )
             if abs(distance(c, centroid) ** 2 - r_in) > 1e-14:
                 return CheckResult(name, False, f"facet distance off at n={n}, j={j}")
@@ -176,7 +173,10 @@ def energy_fuzz(trials: int, seed: int) -> tuple[int, int]:
     Coordinates are i.i.d. uniform on [-10, 10] with dimension uniform
     on [2, 50]. The move size is kept at least 1e-3 so that a true
     strict increase can never be swallowed by the float verdict gap.
+    ``trials`` must be an int (not a bool) of at least 1.
     """
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     import numpy as np
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -184,7 +184,7 @@ def energy_fuzz(trials: int, seed: int) -> tuple[int, int]:
     for _ in range(trials):
         dim = int(rng.integers(2, 51))
         coords = rng.uniform(-10.0, 10.0, dim)
-        v = Vector(tuple(coords))
+        v = Vector(tuple(coords.tolist()))
         i = int(rng.integers(dim))
         mean = math.fsum(v.coords) / dim
         delta = float(rng.uniform(1e-3, 10.0))

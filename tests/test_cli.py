@@ -279,6 +279,24 @@ def test_verify_passes_and_reports(capsys):
     assert not any("\x1b[" in line for line in lines)  # not a tty, no color
 
 
+EXPECTED_VERIFY_64_SEED_7 = (
+    "PASS exact-rational-identities: n=1..64: all identities hold exactly\n"
+    "PASS radii-distances: n=1..32: radii match within 1e-14\n"
+    "PASS enumeration-oracle: n=1..64: enumeration exact\n"
+    "PASS direction-families: odd n<=11, even n<=10: families achieve the width\n"
+    "PASS energy-fuzz: 10000 instances, zero violations\n"
+    "PASS optimizer-agreement: n=1..12: closed form rediscovered\n"
+    "all 6 checks passed\n"
+)
+
+
+def test_verify_golden(capsys):
+    code, out, err = run(capsys, "verify", "--max-n", "64", "--seed", "7")
+    assert code == 0
+    assert err == ""
+    assert out == EXPECTED_VERIFY_64_SEED_7
+
+
 def test_verify_range_validation(capsys):
     code, _, _ = run(capsys, "verify", "--max-n", "0")
     assert code == 2

@@ -20,6 +20,21 @@ def test_center_vector_basic():
     assert rep.energy == 2.0
 
 
+@given(
+    st.lists(
+        st.one_of(st.floats(min_value=-100.0, max_value=100.0), st.just(-0.0)),
+        min_size=1,
+        max_size=50,
+    )
+)
+def test_center_vector_matches_the_generator_spelling_bit_for_bit(coords):
+    v = Vector(coords)
+    mean = math.fsum(v.coords) / v.dim
+    centered = tuple(map(float, tuple(c - mean for c in v.coords)))
+    got = center_vector(v).centered.coords
+    assert [c.hex() for c in got] == [c.hex() for c in centered]
+
+
 def test_center_vector_fixed_points():
     rep = center_vector(Vector((1.0, -1.0)))
     assert rep.mean == 0.0

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +42,45 @@ def test_vector_coerces_to_float():
     v = Vector((1, 2, 3))
     assert v.coords == (1.0, 2.0, 3.0)
     assert all(isinstance(c, float) for c in v.coords)
+
+
+@pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12"), ""])
+def test_vector_rejects_strings(text):
+    with pytest.raises(TypeError):
+        Vector(text)
+
+
+def bits(coords):
+    return [c.hex() for c in coords]
+
+
+numbers = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.integers(min_value=-(2**60), max_value=2**60),
+    st.just(-0.0),
+)
+
+SOURCES = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda values: (x for x in values),
+    "ndarray": lambda values: np.array(values, dtype=float),
+    "float64": lambda values: [np.float64(x) for x in values],
+}
+
+
+@given(
+    st.lists(numbers, min_size=1, max_size=50),
+    st.sampled_from(sorted(SOURCES)),
+    st.one_of(st.floats(min_value=-1e6, max_value=1e6), st.just(-0.0)),
+)
+def test_sized_builds_match_the_generator_spelling_bit_for_bit(values, source, s):
+    make = SOURCES[source]
+    v = Vector(make(values))
+    # the spellings used before coordinate tuples were built from lists
+    assert bits(v.coords) == bits(tuple(map(float, make(values))))
+    scaled = tuple(map(float, tuple(s * c for c in v.coords)))
+    assert bits(v.scaled(s).coords) == bits(scaled)
 
 
 def test_vector_dot_and_norm():
