@@ -22,7 +22,6 @@ from .closed_form import (
 from .directions import (
     ENUMERATION_CAP,
     MEMBERSHIP_TOL,
-    TwoValueDirection,
     enumerate_optimal_directions,
     is_optimal_direction,
     make_two_value_direction,
@@ -75,7 +74,6 @@ __all__ = [
     "PreconditionError",
     "SUM_ZERO_TOL",
     "SimplexKind",
-    "TwoValueDirection",
     "UNIT_NORM_TOL",
     "VERTEX_MAX_ORDER",
     "Vector",

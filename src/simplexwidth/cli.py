@@ -22,13 +22,13 @@ from typing import IO, Callable, Iterator, Sequence
 
 from .closed_form import (
     SimplexKind,
-    alpha_beta,
     circumradius_squared,
     inradius_squared,
     width_squared,
 )
-from .directions import is_optimal_direction, optimal_family, optimal_t
+from .directions import is_optimal_direction, optimal_family
 from .geometry import (
+    MAX_ORDER,
     VERTEX_MAX_ORDER,
     DimensionError,
     PreconditionError,
@@ -90,11 +90,6 @@ def _use_color(stream: IO[str]) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def table_rows(
     max_n: int, include_numeric: bool, seed: int, restarts: int
 ) -> Iterator[dict[str, object]]:
@@ -125,9 +120,7 @@ def table_rows(
 def _json_line(row: dict[str, object]) -> str:
     parts = []
     for key, value in row.items():
-        if key == "n":
-            rendered = str(value)
-        elif key in _DECIMAL_COLUMNS:
+        if key == "n" or key in _DECIMAL_COLUMNS:
             rendered = str(value)
         else:
             rendered = json.dumps(value)
@@ -136,11 +129,10 @@ def _json_line(row: dict[str, object]) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    limit = TABLE_NUMERIC_MAX_N if args.include_numeric else TABLE_MAX_N
-    if not 1 <= args.max_n <= limit:
-        return _usage_error(
-            f"--max-n must be in 1..{limit}"
-            + (" when --include-numeric is set" if args.include_numeric else "")
+    if args.include_numeric and args.max_n > TABLE_NUMERIC_MAX_N:
+        # A usage error, exit 2, like the module validation errors in main.
+        raise ValueError(
+            f"--max-n must be in 1..{TABLE_NUMERIC_MAX_N} when --include-numeric is set"
         )
     columns = CSV_COLUMNS + (NUMERIC_COLUMNS if args.include_numeric else ())
     rows = table_rows(args.max_n, args.include_numeric, args.seed, args.restarts)
@@ -166,8 +158,6 @@ def cmd_width(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= OPTIMIZE_MAX_N:
-        return _usage_error(f"--n must be in 1..{OPTIMIZE_MAX_N}")
     cfg = OptimizerConfig(
         restarts=args.restarts,
         tol=args.tol,
@@ -214,19 +204,16 @@ def cmd_directions(args: argparse.Namespace) -> int:
     if args.list:
         _write_family(args.n, sys.stdout)
         return 0
-    t = optimal_t(args.n)
-    low, high = alpha_beta(args.n, t)
+    family = optimal_family(args.n)
     print(f"n: {args.n}")
-    print(f"t: {t}")
-    print(f"count: {math.comb(args.n + 1, t)}")
-    print(f"alpha: {format_decimal(low)}")
-    print(f"beta: {format_decimal(high)}")
+    print(f"t: {family.t}")
+    print(f"count: {math.comb(args.n + 1, family.t)}")
+    print(f"alpha: {format_decimal(family.alpha)}")
+    print(f"beta: {format_decimal(family.beta)}")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not 1 <= args.max_n <= VERIFY_MAX_N:
-        return _usage_error(f"--max-n must be in 1..{VERIFY_MAX_N}")
     results = run_all_checks(args.max_n, args.seed)
     color = _use_color(sys.stdout)
     failures = 0
@@ -250,19 +237,12 @@ def _seed_type(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def _bounded_int(limit: int) -> Callable[[str], int]:
-    """Argument type for a positive integer of at most ``limit``."""
+    """Argument type for an integer in 1..``limit``."""
 
     def parse(text: str) -> int:
-        value = _positive_int(text)
-        if value > limit:
+        value = int(text)
+        if not 1 <= value <= limit:
             raise argparse.ArgumentTypeError(f"must be in 1..{limit}")
         return value
 
@@ -277,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="closed-form table for n = 1..max-n")
-    table.add_argument("--max-n", type=_positive_int, required=True)
+    table.add_argument("--max-n", type=_bounded_int(TABLE_MAX_N), required=True)
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.add_argument(
         "--include-numeric",
@@ -289,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=cmd_table)
 
     width = sub.add_parser("width", help="width of a single simplex")
-    width.add_argument("--n", type=_positive_int, required=True)
+    width.add_argument("--n", type=_bounded_int(MAX_ORDER), required=True)
     width.add_argument("--kind", choices=("standard", "regular"), default="standard")
     width.add_argument(
         "--exact", action="store_true", help="print the squared width as p/q"
@@ -299,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser(
         "optimize", help="numerically minimize the width of the standard simplex"
     )
-    optimize.add_argument("--n", type=_positive_int, required=True)
+    optimize.add_argument("--n", type=_bounded_int(OPTIMIZE_MAX_N), required=True)
     optimize.add_argument("--restarts", type=_bounded_int(MAX_RESTARTS), default=64)
     optimize.add_argument("--seed", type=_seed_type, default=0)
     optimize.add_argument("--tol", type=float, default=1e-10)
@@ -317,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     directions.set_defaults(func=cmd_directions)
 
     verify = sub.add_parser("verify", help="run the full cross-check battery")
-    verify.add_argument("--max-n", type=_positive_int, default=12)
+    verify.add_argument("--max-n", type=_bounded_int(VERIFY_MAX_N), default=12)
     verify.add_argument("--seed", type=_seed_type, default=0)
     verify.set_defaults(func=cmd_verify)
 

@@ -36,34 +36,32 @@ MEMBERSHIP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class TwoValueDirection:
-    """A unit sum-zero direction with t coordinates at alpha(n, t) (on
-    ``low_set``) and the remaining n+1-t at beta(n, t)."""
-
-    n: int
-    t: int
-    low_set: frozenset[int]
-    direction: Direction
-
-
-@dataclass(frozen=True)
 class OptimalFamily:
     """The width-achieving family of the standard n-simplex, as one
     validated representative and the low sets of all its members.
 
-    Every member puts ``alpha`` on its low set and ``beta`` elsewhere, so
-    each is a coordinate permutation of ``representative`` (low set
-    {0, ..., t-1}).
+    Every member puts ``alpha`` on its t low coordinates and ``beta``
+    elsewhere, so each is a coordinate permutation of ``representative``
+    (low set {0, ..., t-1}).
     """
 
     n: int
     t: int
     alpha: float
     beta: float
-    representative: TwoValueDirection
+    representative: Direction
 
     def low_sets(self) -> Iterator[tuple[int, ...]]:
-        """The members' low-coordinate index sets, in lexicographic order."""
+        """The members' low-coordinate index sets, in lexicographic order.
+
+        Raises ValueError above ENUMERATION_CAP, when called rather than
+        when first iterated.
+        """
+        if self.n > ENUMERATION_CAP:
+            raise ValueError(
+                "exhaustive enumeration is capped at "
+                f"n <= {ENUMERATION_CAP}, got {self.n}"
+            )
         return combinations(range(self.n + 1), self.t)
 
 
@@ -74,24 +72,19 @@ def optimal_t(n: int) -> int:
 
 
 def optimal_family(n: int) -> OptimalFamily:
-    """The optimal family of order n, for exhaustive enumeration.
+    """The optimal family of order n.
 
-    Validates n, applies ENUMERATION_CAP, and builds (hence checks for
-    unit norm and sum zero) the representative only.
+    Validates n and builds (hence checks for unit norm and sum zero) the
+    representative only; `OptimalFamily.low_sets` applies ENUMERATION_CAP.
     """
     t = optimal_t(n)
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"exhaustive enumeration is capped at n <= {ENUMERATION_CAP}, got {n}"
-        )
     a, b = alpha_beta(n, t)
     return OptimalFamily(n, t, a, b, make_two_value_direction(n, t, range(t)))
 
 
-def make_two_value_direction(
-    n: int, t: int, low_set: Iterable[int]
-) -> TwoValueDirection:
-    """Build the two-value direction with alpha on ``low_set``."""
+def make_two_value_direction(n: int, t: int, low_set: Iterable[int]) -> Direction:
+    """The unit sum-zero direction with alpha(n, t) on the t indices of
+    ``low_set`` and beta(n, t) on the other n+1-t."""
     low = frozenset(int(i) for i in low_set)
     if any(i < 0 or i > n for i in low):
         raise IndexError(f"low_set indices must lie in 0..{n}")
@@ -101,9 +94,7 @@ def make_two_value_direction(
         )
     a, b = alpha_beta(n, t)
     coords = tuple([a if i in low else b for i in range(n + 1)])
-    return TwoValueDirection(
-        n=n, t=t, low_set=low, direction=Direction(Vector(coords), sum_zero=True)
-    )
+    return Direction(Vector(coords), sum_zero=True)
 
 
 def enumerate_optimal_directions(n: int) -> list[Direction]:
@@ -114,10 +105,7 @@ def enumerate_optimal_directions(n: int) -> list[Direction]:
     directions with t = n/2, one per choice of low coordinates.
     """
     family = optimal_family(n)
-    return [
-        make_two_value_direction(n, family.t, low).direction
-        for low in family.low_sets()
-    ]
+    return [make_two_value_direction(n, family.t, low) for low in family.low_sets()]
 
 
 def is_optimal_direction(n: int, u: Direction) -> bool:
@@ -137,8 +125,8 @@ def is_optimal_direction(n: int, u: Direction) -> bool:
     if abs(u.vec.coordinate_sum()) > SUM_ZERO_TOL:
         raise PreconditionError("direction must be sum-zero")
 
-    t = optimal_t(n)
-    a, b = alpha_beta(n, t)
+    family = optimal_family(n)
+    t, a, b = family.t, family.alpha, family.beta
     for coords in (u.coords, [-c for c in u.coords]):
         low = sum(1 for c in coords if abs(c - a) <= MEMBERSHIP_TOL)
         high = sum(1 for c in coords if abs(c - b) <= MEMBERSHIP_TOL)

@@ -30,8 +30,11 @@ class EnergyReport:
     energy: float
 
     def __post_init__(self) -> None:
-        dim = self.centered.dim
-        if abs(self.centered.coordinate_sum()) > 1e-12 * dim:
+        # Each centered coordinate is rounded relative to the input's
+        # magnitude, which is at most |mean| + max |centered|.
+        coords = self.centered.coords
+        scale = max(1.0, abs(self.mean) + max(map(abs, coords)))
+        if abs(self.centered.coordinate_sum()) > 1e-12 * len(coords) * scale:
             raise ValueError("centered vector must have coordinate sum zero")
         nsq = self.centered.norm_squared()
         if abs(self.energy - nsq) > 1e-12 * max(1.0, nsq):

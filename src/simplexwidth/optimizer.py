@@ -37,12 +37,15 @@ if TYPE_CHECKING:
 SNAP_EVERY = 100
 PATIENCE = 5
 
+# The subgradient step at iteration k is STEP_INIT / sqrt(k).
+STEP_INIT = 1.0
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for `minimize_width`.
 
-    The step schedule is step_init/sqrt(iter), the standard choice for
+    The step schedule is STEP_INIT/sqrt(iter), the standard choice for
     non-smooth convex objectives; the width landscape on the sphere has
     one local basin per face pair, so restarts are the remedy, each
     initialized from its own sub-seed of ``seed``.
@@ -50,23 +53,25 @@ class OptimizerConfig:
     ``max_iters`` is an upper bound: on the standard and regular
     simplices `minimize_width` stops earlier once its two-value snap
     stalls (see there). ``tol`` is the "improved by less than" threshold
-    of both ``converged`` and that stall rule.
+    of both ``converged`` and that stall rule. ``restarts``, ``max_iters``
+    and ``seed`` must be ints (not bools), as simplex orders must.
     """
 
     restarts: int = 64
     max_iters: int = 10_000
-    step_init: float = 1.0
     tol: float = 1e-10
     seed: int = 0
     constrain_sum_zero: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.step_init > 0:
-            raise ValueError("step_init must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not 0 <= self.seed < 2**64:
@@ -189,7 +194,7 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     Each iteration takes the subgradient p_max - p_min at the current
     iterate (ties to the lowest vertex index), projects out the all-ones
     component when constrained, projects out the radial component, steps
-    by step_init/sqrt(iter), and renormalizes. After the last iteration
+    by STEP_INIT/sqrt(iter), and renormalizes. After the last iteration
     `_snap` snaps each restart's incumbent onto the two-value family,
     and the best width wins. The result is an upper bound on the true
     width; ``converged`` records whether the last iteration run improved
@@ -267,7 +272,7 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
                 g -= add(g, axis=1, keepdims=True) / dim
             gu = add(g * U, axis=1, keepdims=True)
         g -= gu * U
-        g *= cfg.step_init / math.sqrt(k)
+        g *= STEP_INIT / math.sqrt(k)
         U -= g
         if sum_zero:
             U -= add(U, axis=1, keepdims=True) / dim
@@ -422,10 +427,9 @@ def two_value_enumeration_width(n: int) -> WidthResult:
     check_order(n)
     best_t = min(range(1, n + 1), key=lambda t: (width_for_t(n, t), t))
     w_sq = width_for_t(n, best_t)
-    witness = make_two_value_direction(n, best_t, frozenset(range(best_t)))
     return WidthResult(
         width=math.sqrt(w_sq),
-        direction=witness.direction,
+        direction=make_two_value_direction(n, best_t, range(best_t)),
         iterations=n,
         converged=True,
         width_squared_exact=w_sq,

@@ -207,18 +207,14 @@ def check_energy_fuzz(seed: int, trials: int = FUZZ_TRIALS) -> CheckResult:
 
 
 def check_optimizer_agreement(
-    max_n: int = OPTIMIZER_MAX_N, seed: int = 0, restarts: int = 64
+    max_n: int = OPTIMIZER_MAX_N, seed: int = 0
 ) -> CheckResult:
     """Subgradient descent rediscovers the closed-form width of the
     standard simplex within 1e-6 relative, never undershooting it by
     more than 1e-9, and lands in the optimal family."""
     name = "optimizer-agreement"
     for n in range(1, max_n + 1):
-        cfg = OptimizerConfig(
-            restarts=restarts,
-            seed=derive_seed(seed, n),
-            constrain_sum_zero=True,
-        )
+        cfg = OptimizerConfig(seed=derive_seed(seed, n), constrain_sum_zero=True)
         result = minimize_width(standard_simplex_vertices(n), cfg)
         target = math.sqrt(width_squared(n, SimplexKind.STANDARD))
         if abs(result.width - target) > 1e-6 * target:

@@ -143,6 +143,15 @@ def test_width_rejects_bad_order(capsys):
     assert "error" in err
 
 
+def test_width_cap_is_usage_error(capsys):
+    # rejected by argument parsing, one past the order cap of the closed forms
+    code, out, err = run(capsys, "width", "--n", "1000001")
+    assert code == 2
+    assert "1..1000000" in err
+    assert out == ""
+    assert run(capsys, "width", "--n", "1000000")[0] == 0
+
+
 def test_directions_summary(capsys):
     code, out, _ = run(capsys, "directions", "--n", "4")
     assert code == 0
@@ -153,6 +162,29 @@ def test_directions_summary(capsys):
         "alpha: -0.547722557505",
         "beta: 0.36514837167",
     ]
+
+
+@pytest.mark.parametrize(
+    "n,expected",
+    [
+        (
+            21,
+            "n: 21\nt: 11\ncount: 705432\n"
+            "alpha: -0.213200716356\nbeta: 0.213200716356\n",
+        ),
+        (
+            100,
+            "n: 100\nt: 50\ncount: 199804427433372226016001220056\n"
+            "alpha: -0.100493830164\nbeta: 0.0985233629057\n",
+        ),
+    ],
+)
+def test_directions_summary_above_the_enumeration_cap(capsys, n, expected):
+    assert n > ENUMERATION_CAP
+    code, out, err = run(capsys, "directions", "--n", str(n))
+    assert code == 0
+    assert err == ""
+    assert out == expected
 
 
 def test_directions_list(capsys):
@@ -339,6 +371,7 @@ EXACT_COMMANDS = [
     ["width", "--n", "5", "--exact"],
     ["directions", "--n", "5"],
     ["directions", "--n", "5", "--list"],
+    ["directions", "--n", "100"],
 ]
 
 # Blocks numpy, imports the package eagerly as usual, runs each command

@@ -86,8 +86,12 @@ def test_enumeration_cap_and_order_validation():
     for bad in (0, 2.5, True):
         with pytest.raises(DimensionError):
             enumerate_optimal_directions(bad)
-    with pytest.raises(ValueError):
-        optimal_family(ENUMERATION_CAP + 1)
+    # the family itself exists at any valid order; only its low sets,
+    # the enumeration, are capped
+    family = optimal_family(ENUMERATION_CAP + 1)
+    assert family.t == optimal_t(ENUMERATION_CAP + 1)
+    with pytest.raises(ValueError, match="capped"):
+        family.low_sets()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, ENUMERATION_CAP])
@@ -97,8 +101,9 @@ def test_optimal_family_representative_and_low_sets(n):
     assert family.t == t
     assert (family.alpha, family.beta) == alpha_beta(n, t)
     rep = family.representative
-    assert rep.low_set == frozenset(range(t))
-    assert is_optimal_direction(n, rep.direction)
+    assert rep.coords == (family.alpha,) * t + (family.beta,) * (n + 1 - t)
+    assert rep.sum_zero
+    assert is_optimal_direction(n, rep)
     assert next(family.low_sets()) == tuple(range(t))
     if n <= 8:
         members = [
@@ -126,12 +131,13 @@ def test_two_value_direction_structure(n, data):
             )
         )
     )
-    tv = make_two_value_direction(n, t, low)
-    assert tv.direction.sum_zero
+    direction = make_two_value_direction(n, t, low)
+    assert isinstance(direction, Direction)
+    assert direction.sum_zero
     a, b = alpha_beta(n, t)
-    for i, c in enumerate(tv.direction.coords):
+    for i, c in enumerate(direction.coords):
         assert c == (a if i in low else b)
-    w = projection_width(tv.direction, standard_simplex_vertices(n))
+    w = projection_width(direction, standard_simplex_vertices(n))
     assert abs(w - math.sqrt(width_for_t(n, t))) <= 1e-12
 
 
@@ -161,6 +167,20 @@ def test_membership_tolerance_boundary():
 
     assert is_optimal_direction(n, perturb(1e-13))
     assert not is_optimal_direction(n, perturb(1e-6))
+
+
+def test_membership_above_the_enumeration_cap():
+    # the membership test reads t, alpha and beta from optimal_family,
+    # which serves every valid order, not only enumerable ones
+    n = 50
+    family = optimal_family(n)
+    member = make_two_value_direction(n, family.t, range(1, n + 1, 2))
+    assert is_optimal_direction(n, member)
+    assert is_optimal_direction(n, member.negated())
+    coords = list(member.coords)
+    coords[0] += 1e-6
+    coords[1] -= 1e-6  # keep the coordinate sum at zero
+    assert not is_optimal_direction(n, Direction.normalized(coords, sum_zero=True))
 
 
 @pytest.mark.parametrize("n", [5, 7])

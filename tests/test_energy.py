@@ -61,6 +61,37 @@ def test_energy_report_validates_itself():
         EnergyReport(mean=0.0, centered=Vector((1.0, 1.0)), energy=2.0)
     with pytest.raises(ValueError):
         EnergyReport(mean=0.0, centered=Vector((1.0, -1.0)), energy=3.0)
+    # the sum tolerance scales with the magnitude, but a sum of 1 at
+    # magnitude 1e6 is still far outside it
+    with pytest.raises(ValueError, match="sum zero"):
+        EnergyReport(
+            mean=1e6, centered=Vector((1e6, 1.0 - 1e6)), energy=2e12 - 2e6 + 1
+        )
+
+
+def test_large_coordinates_center_and_push():
+    # the coordinate sum after centering is about 3.6e-12 here, which an
+    # absolute tolerance of 1e-12 * dim rejected
+    v = Vector((0.0, 0.0, 26603.0))
+    rep = center_vector(v)
+    assert rep.mean == math.fsum(v.coords) / 3
+    before, after, increased = energy_push(v, 2, 30000.0)
+    assert before.energy == rep.energy
+    assert increased
+
+
+@given(st.lists(st.floats(-1e12, 1e12), min_size=2, max_size=60))
+def test_center_vector_accepts_large_coordinates(coords):
+    # the rounding error of the centered sum grows with the coordinates'
+    # magnitude, and so does the tolerance it is held to
+    v = Vector(coords)
+    rep = center_vector(v)
+    assert rep.energy == rep.centered.norm_squared()
+    top = max(range(v.dim), key=v.coords.__getitem__)
+    new_value = v.coords[top] + max(1.0, abs(v.coords[top]))
+    _, after, increased = energy_push(v, top, new_value, exact=True)
+    assert increased
+    assert after.energy >= rep.energy
 
 
 def test_push_upward_from_mean():

@@ -20,6 +20,7 @@ from simplexwidth.geometry import (
 )
 from simplexwidth.optimizer import (
     SNAP_EVERY,
+    STEP_INIT,
     OptimizerConfig,
     grid_directions,
     grid_width_oracle,
@@ -60,13 +61,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(step_init=0.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(tol=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(seed=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(seed=2**64)
+    # the integer fields follow check_order's rule: an int, not a bool
+    for field, value in [
+        ("restarts", 2.5),
+        ("restarts", True),
+        ("max_iters", 10.5),
+        ("max_iters", True),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "1"),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
 
 
 def test_minimize_width_is_deterministic():
@@ -235,7 +246,7 @@ def _reference_minimize_width(points, cfg):
         if cfg.constrain_sum_zero:
             g = g - g.mean(axis=1, keepdims=True)
         g = g - np.sum(g * U, axis=1, keepdims=True) * U
-        U = U - (cfg.step_init / math.sqrt(k)) * g
+        U = U - (STEP_INIT / math.sqrt(k)) * g
         if cfg.constrain_sum_zero:
             U = U - U.mean(axis=1, keepdims=True)
         norms = np.linalg.norm(U, axis=1, keepdims=True)
