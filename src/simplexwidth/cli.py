@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 from fractions import Fraction
+from itertools import product
+from json.encoder import encode_basestring_ascii
 from typing import IO, Callable, Iterator, Sequence
 
 from .closed_form import (
@@ -50,9 +51,6 @@ MAX_RESTARTS = 1024
 # largest order whose size fits Python's default 4,300-digit limit on
 # int-to-str conversion.
 DIRECTIONS_MAX_N = 14_290
-# `directions --list` writes its lines in chunks of this many: the output
-# runs to ~120 MB at the enumeration cap, so it is never held whole.
-LIST_CHUNK_LINES = 4096
 
 CSV_COLUMNS = (
     "n",
@@ -66,8 +64,8 @@ CSV_COLUMNS = (
 NUMERIC_COLUMNS = ("numeric_width", "abs_error")
 
 # Columns rendered as bare JSON number literals rather than strings.
-_DECIMAL_COLUMNS = frozenset(
-    ("width_reg", "inradius", "circumradius") + NUMERIC_COLUMNS
+_NUMBER_COLUMNS = frozenset(
+    ("n", "width_reg", "inradius", "circumradius") + NUMERIC_COLUMNS
 )
 
 
@@ -118,14 +116,11 @@ def table_rows(
 
 
 def _json_line(row: dict[str, object]) -> str:
-    parts = []
-    for key, value in row.items():
-        if key == "n" or key in _DECIMAL_COLUMNS:
-            rendered = str(value)
-        else:
-            rendered = json.dumps(value)
-        parts.append(f'"{key}": {rendered}')
-    return "{" + ", ".join(parts) + "}"
+    # encode_basestring_ascii is json.dumps on a str, minus its set-up.
+    return "{" + ", ".join(
+        f'"{k}": {v if k in _NUMBER_COLUMNS else encode_basestring_ascii(v)}'
+        for k, v in row.items()
+    ) + "}"
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -139,11 +134,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+        writer.writerows([row[c] for c in columns] for row in rows)
     else:
-        for row in rows:
-            print(_json_line(row))
+        sys.stdout.writelines(_json_line(row) + "\n" for row in rows)
     return 0
 
 
@@ -175,29 +168,31 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def _write_family(n: int, out: IO[str]) -> None:
     """Write every member of the optimal family, one per line, in the
-    order of `enumerate_optimal_directions`.
+    order of `enumerate_optimal_directions`: lexicographic over the words
+    in {alpha, beta} with t alphas, alpha first.
 
-    Only the representative is built as a Direction, which checks it for
-    unit norm and sum zero. Every other member is a permutation of its
-    coordinates, and math.fsum is correctly rounded, so the member's norm
-    and sum are bit for bit the representative's: checking them again
-    could not fail. The lines are therefore filled in from the two
-    formatted coordinate values.
+    Only the representative is built, and so checked for unit norm and
+    sum zero; every member permutes its coordinates, and math.fsum is
+    correctly rounded, so no other check could fail. A line splits into
+    a head of (n+1)//2 coordinates and a tail; lexicographic order over
+    lines is order over heads, then over tails. So the tails are joined
+    once, grouped by alpha count, and each head is written in one call
+    with every tail that completes it to t alphas (462 lines at most).
     """
     family = optimal_family(n)
+    family.low_sets()  # raises above ENUMERATION_CAP before any write
+    family.representative  # built, hence validated, before any write
     low_text = format_decimal(family.alpha)
-    row = [format_decimal(family.beta)] * (n + 1)
-    lines: list[str] = []
-    for low in family.low_sets():
-        member = row.copy()
-        for i in low:
-            member[i] = low_text
-        lines.append(" ".join(member))
-        if len(lines) == LIST_CHUNK_LINES:
-            out.write("\n".join(lines) + "\n")
-            lines.clear()
-    if lines:
-        out.write("\n".join(lines) + "\n")
+    high_text = format_decimal(family.beta)
+    half = (n + 1) // 2
+    tails: list[list[str]] = [[] for _ in range(n + 2 - half)]
+    for tail in product((low_text, high_text), repeat=n + 1 - half):
+        tails[tail.count(low_text)].append(" ".join(tail))
+    for head in product((low_text, high_text), repeat=half):
+        need = family.t - head.count(low_text)
+        if 0 <= need < len(tails):
+            prefix = " ".join(head) + " "
+            out.write(prefix + ("\n" + prefix).join(tails[need]) + "\n")
 
 
 def cmd_directions(args: argparse.Namespace) -> int:
@@ -205,6 +200,7 @@ def cmd_directions(args: argparse.Namespace) -> int:
         _write_family(args.n, sys.stdout)
         return 0
     family = optimal_family(args.n)
+    family.representative  # built, hence validated, before any print
     print(f"n: {args.n}")
     print(f"t: {family.t}")
     print(f"count: {math.comb(args.n + 1, family.t)}")

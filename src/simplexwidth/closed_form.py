@@ -44,14 +44,11 @@ def _check_low_count(n: int, t: int) -> None:
 def width_squared(n: int, kind: SimplexKind) -> Fraction:
     """Exact squared width of the n-simplex of the given kind."""
     check_order(n)
-    if n % 2 == 1:
-        std = Fraction(4, n + 1)
-    else:
-        std = Fraction(4 * (n + 1), n * (n + 2))
+    num, den = (4, n + 1) if n % 2 else (4 * (n + 1), n * (n + 2))
     if kind is SimplexKind.STANDARD:
-        return std
+        return Fraction(num, den)
     if kind is SimplexKind.REGULAR:
-        return std / 2
+        return Fraction(num, 2 * den)
     raise TypeError(f"unknown simplex kind: {kind!r}")
 
 

@@ -11,6 +11,7 @@ no uniqueness claim).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -49,7 +50,11 @@ class OptimalFamily:
     t: int
     alpha: float
     beta: float
-    representative: Direction
+
+    @cached_property
+    def representative(self) -> Direction:
+        """The member with low set {0..t-1}, built and checked on first read."""
+        return make_two_value_direction(self.n, self.t, range(self.t))
 
     def low_sets(self) -> Iterator[tuple[int, ...]]:
         """The members' low-coordinate index sets, in lexicographic order.
@@ -74,12 +79,12 @@ def optimal_t(n: int) -> int:
 def optimal_family(n: int) -> OptimalFamily:
     """The optimal family of order n.
 
-    Validates n and builds (hence checks for unit norm and sum zero) the
-    representative only; `OptimalFamily.low_sets` applies ENUMERATION_CAP.
+    Validates n only; the representative is built when first read, and
+    `OptimalFamily.low_sets` applies ENUMERATION_CAP.
     """
     t = optimal_t(n)
     a, b = alpha_beta(n, t)
-    return OptimalFamily(n, t, a, b, make_two_value_direction(n, t, range(t)))
+    return OptimalFamily(n, t, a, b)
 
 
 def make_two_value_direction(n: int, t: int, low_set: Iterable[int]) -> Direction:

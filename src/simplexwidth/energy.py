@@ -63,13 +63,15 @@ def energy_push(
     Hypothesis, checked before doing anything: either
     new_value > v_i >= mean(v), or new_value < v_i < mean(v).
     Violations raise PreconditionError; under the hypothesis the verdict
-    is always True.
+    is always True. A non-int (or bool) i raises ValueError.
 
     With ``exact=True`` the hypothesis and the verdict are evaluated in
     exact rational arithmetic over the binary values of the inputs;
     otherwise the verdict requires a relative float gap of
     ENERGY_REL_TOL to rule out rounding false positives.
     """
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise ValueError(f"coordinate index must be an int, got {i!r}")
     if not 0 <= i < v.dim:
         raise IndexError(f"coordinate index {i} out of range for dimension {v.dim}")
     new_value = float(new_value)

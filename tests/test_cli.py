@@ -21,6 +21,7 @@ from simplexwidth.closed_form import (
     width_squared,
 )
 from simplexwidth.directions import ENUMERATION_CAP, enumerate_optimal_directions
+from simplexwidth.geometry import Direction
 
 EXPECTED_TABLE_3 = (
     "n,parity,width_std_sq,width_reg_sq,width_reg,inradius,circumradius\n"
@@ -258,6 +259,44 @@ def test_directions_list_golden_digest(monkeypatch, n, lines, digest):
     assert sink.sha.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt,lines,digest",
+    [
+        ("csv", 10_001, "99fe59234bbba4a0254dc1bd24d73635fc902e5664e4f9ee420a126d4cef8d59"),
+        ("json", 10_000, "be7b0a086afab6fc88be1ccf5176ee344f7b16f076d415a749fd0a2992e266f8"),
+    ],
+)
+def test_table_golden_digest(monkeypatch, fmt, lines, digest):
+    # the whole table at its --max-n cap, byte for byte
+    sink = _HashingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["table", "--max-n", str(cli.TABLE_MAX_N), "--format", fmt]
+    assert cli.main(argv) == 0
+    assert sink.lines == lines
+    assert sink.sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("text", ['"', "\\", "\n", "é", "\u2028", "odd", "3/2"])
+def test_json_line_renders_strings_as_json_dumps(text):
+    assert cli._json_line({"parity": text}) == '{"parity": ' + json.dumps(text) + "}"
+    assert json.loads(cli._json_line({"n": 1, "parity": text})) == {"n": 1, "parity": text}
+
+
+@pytest.mark.parametrize("argv", [("--n", "100"), ("--n", "5", "--list")])
+def test_directions_validates_one_direction(monkeypatch, capsys, argv):
+    # the representative, read before anything is printed
+    built = []
+    original = Direction.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Direction, "__post_init__", counting)
+    assert run(capsys, "directions", *argv)[0] == 0
+    assert len(built) == 1
+
+
 def test_optimize_output(capsys):
     code, out, _ = run(capsys, "optimize", "--n", "2", "--restarts", "64", "--seed", "1")
     assert code == 0
@@ -373,6 +412,7 @@ EXACT_COMMANDS = [
     ["directions", "--n", "5", "--list"],
     ["directions", "--n", "100"],
 ]
+
 
 # Blocks numpy, imports the package eagerly as usual, runs each command
 # given as JSON in argv[1] and prints its exit code and stdout as JSON,

@@ -118,6 +118,13 @@ def test_order_and_low_count_validation():
         alpha_beta_squared(5, 6)
 
 
+@pytest.mark.parametrize("n", [MAX_ORDER - 1, MAX_ORDER])
+def test_regular_is_half_standard_at_the_order_cap(n):
+    reg = width_squared(n, SimplexKind.REGULAR)
+    assert reg * 2 == width_squared(n, SimplexKind.STANDARD)
+    assert math.gcd(reg.numerator, reg.denominator) == 1
+
+
 def test_results_are_fractions_in_lowest_terms():
     w = width_squared(6, SimplexKind.STANDARD)
     assert isinstance(w, Fraction)

@@ -113,6 +113,33 @@ def test_optimal_family_representative_and_low_sets(n):
         assert members == [d.coords for d in enumerate_optimal_directions(n)]
 
 
+def _count_direction_builds(monkeypatch):
+    built = []
+    original = Direction.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Direction, "__post_init__", counting)
+    return built
+
+
+def test_membership_builds_no_direction(monkeypatch):
+    member = optimal_family(50).representative.negated()
+    built = _count_direction_builds(monkeypatch)
+    assert is_optimal_direction(50, member)
+    assert built == []
+
+
+def test_representative_is_built_once_on_first_read(monkeypatch):
+    built = _count_direction_builds(monkeypatch)
+    family = optimal_family(100)
+    assert built == []
+    assert family.representative is family.representative
+    assert len(built) == 1
+
+
 def test_make_two_value_direction_validation():
     with pytest.raises(ValueError):
         make_two_value_direction(3, 2, frozenset({0}))

@@ -157,6 +157,14 @@ def test_index_and_value_validation():
         energy_push(Vector((1.0, 2.0)), 0, math.nan)
 
 
+@pytest.mark.parametrize("i", [1.5, True, "0"])
+def test_index_must_be_an_int(i):
+    # the package's integer rule: an int that is not a bool; (0, 2) lets
+    # True (as coordinate 1) satisfy the hypothesis if it were accepted
+    with pytest.raises(ValueError, match="must be an int"):
+        energy_push(Vector((0.0, 2.0)), i, 3.0)
+
+
 def test_exact_mode_sees_sub_ulp_moves():
     v = Vector((0.0, 0.0))
     # the float verdict gap cannot certify a 1e-300 move, exact mode can
