@@ -23,8 +23,8 @@ from typing import IO, Callable, Iterator, Sequence
 
 from .closed_form import (
     SimplexKind,
-    circumradius_squared,
-    inradius_squared,
+    _radii_squared_pairs,
+    _width_squared_pair,
     width_squared,
 )
 from .directions import is_optimal_direction, optimal_family
@@ -33,6 +33,7 @@ from .geometry import (
     VERTEX_MAX_ORDER,
     DimensionError,
     PreconditionError,
+    check_order,
     regular_simplex_vertices,
     standard_simplex_vertices,
 )
@@ -88,30 +89,38 @@ def _use_color(stream: IO[str]) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
+def _format_pair(num: int, den: int) -> str:
+    # In lowest terms, as format_rational writes a Fraction.
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def table_rows(
     max_n: int, include_numeric: bool, seed: int, restarts: int
-) -> Iterator[dict[str, object]]:
+) -> Iterator[tuple[object, ...]]:
+    """Rows for n = 1..max_n in column order, from the closed forms' pairs."""
+    check_order(max_n)
     for n in range(1, max_n + 1):
-        reg_sq = width_squared(n, SimplexKind.REGULAR)
-        width_reg = math.sqrt(reg_sq)
-        row: dict[str, object] = {
-            "n": n,
-            "parity": "odd" if n % 2 else "even",
-            "width_std_sq": format_rational(width_squared(n, SimplexKind.STANDARD)),
-            "width_reg_sq": format_rational(reg_sq),
-            "width_reg": format_decimal(width_reg),
-            "inradius": format_decimal(math.sqrt(inradius_squared(n))),
-            "circumradius": format_decimal(math.sqrt(circumradius_squared(n))),
-        }
+        reg_num, reg_den = _width_squared_pair(n, SimplexKind.REGULAR)
+        (in_num, in_den), (circ_num, circ_den) = _radii_squared_pairs(n)
+        width_reg = math.sqrt(reg_num / reg_den)
+        row: tuple[object, ...] = (
+            n,
+            "odd" if n % 2 else "even",
+            _format_pair(*_width_squared_pair(n, SimplexKind.STANDARD)),
+            _format_pair(reg_num, reg_den),
+            format_decimal(width_reg),
+            format_decimal(math.sqrt(in_num / in_den)),
+            format_decimal(math.sqrt(circ_num / circ_den)),
+        )
         if include_numeric:
             cfg = OptimizerConfig(
                 restarts=restarts,
                 seed=derive_seed(seed, n),
                 constrain_sum_zero=True,
             )
-            result = minimize_width(regular_simplex_vertices(n), cfg)
-            row["numeric_width"] = format_decimal(result.width)
-            row["abs_error"] = format_decimal(abs(result.width - width_reg))
+            numeric = minimize_width(regular_simplex_vertices(n), cfg).width
+            row += (format_decimal(numeric), format_decimal(abs(numeric - width_reg)))
         yield row
 
 
@@ -134,9 +143,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([row[c] for c in columns] for row in rows)
+        writer.writerows(rows)
     else:
-        sys.stdout.writelines(_json_line(row) + "\n" for row in rows)
+        sys.stdout.writelines(_json_line(dict(zip(columns, row))) + "\n" for row in rows)
     return 0
 
 

@@ -1,9 +1,12 @@
 """Exact closed-form widths and radii of regular simplices.
 
 Every quantity here is a square: width^2, radius^2, and the squared
-two-value coordinates are all rationals, so they are carried as exact
-`fractions.Fraction` values. Square roots are taken only at presentation
-boundaries (CLI output, float helpers).
+two-value coordinates are all rationals, so the public functions return
+exact `fractions.Fraction` values; the width and radius ones build them
+from (numerator, denominator) pairs, which the CLI `table` reads
+directly. The pair helpers do not check n and may return a pair not in
+lowest terms. Square roots are taken only at presentation boundaries
+(CLI output, float helpers).
 
 Conventions, for the n-simplex with n >= 1:
 
@@ -41,20 +44,31 @@ def _check_low_count(n: int, t: int) -> None:
         raise ValueError(f"low-coordinate count t must lie in 1..{n}, got {t!r}")
 
 
+def _width_squared_pair(n: int, kind: SimplexKind) -> tuple[int, int]:
+    num, den = (4, n + 1) if n % 2 else (4 * (n + 1), n * (n + 2))
+    if kind is SimplexKind.STANDARD:
+        return num, den
+    if kind is SimplexKind.REGULAR:
+        return num, 2 * den
+    raise TypeError(f"unknown simplex kind: {kind!r}")
+
+
+def _radii_squared_pairs(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    # inradius^2 and circumradius^2 of the unit-edge simplex
+    return (1, 2 * n * (n + 1)), (n, 2 * (n + 1))
+
+
 def width_squared(n: int, kind: SimplexKind) -> Fraction:
     """Exact squared width of the n-simplex of the given kind."""
     check_order(n)
-    num, den = (4, n + 1) if n % 2 else (4 * (n + 1), n * (n + 2))
-    if kind is SimplexKind.STANDARD:
-        return Fraction(num, den)
-    if kind is SimplexKind.REGULAR:
-        return Fraction(num, 2 * den)
-    raise TypeError(f"unknown simplex kind: {kind!r}")
+    return Fraction(*_width_squared_pair(n, kind))
 
 
 def width(n: int, kind: SimplexKind) -> float:
     """Width as a float; the square root of `width_squared`."""
-    return math.sqrt(width_squared(n, kind))
+    check_order(n)
+    num, den = _width_squared_pair(n, kind)
+    return math.sqrt(num / den)
 
 
 def center(n: int) -> Vector:
@@ -86,13 +100,13 @@ def indistance_squared(n: int) -> Fraction:
 def inradius_squared(n: int) -> Fraction:
     """Squared inradius of the unit-edge simplex: 1/(2n(n+1))."""
     check_order(n)
-    return Fraction(1, 2 * n * (n + 1))
+    return Fraction(*_radii_squared_pairs(n)[0])
 
 
 def circumradius_squared(n: int) -> Fraction:
     """Squared circumradius of the unit-edge simplex: n/(2(n+1))."""
     check_order(n)
-    return Fraction(n, 2 * (n + 1))
+    return Fraction(*_radii_squared_pairs(n)[1])
 
 
 def width_for_t(n: int, t: int) -> Fraction:
@@ -127,5 +141,5 @@ def alpha_beta(n: int, t: int) -> tuple[float, float]:
     making the direction unit and sum-zero. Their gap beta - alpha is
     the projection width sqrt(width_for_t(n, t)).
     """
-    a_sq, b_sq = alpha_beta_squared(n, t)
+    a_sq, b_sq = (q.numerator / q.denominator for q in alpha_beta_squared(n, t))
     return -math.sqrt(a_sq), math.sqrt(b_sq)

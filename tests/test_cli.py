@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from simplexwidth import cli
+from simplexwidth import cli, closed_form
 from simplexwidth.closed_form import (
     SimplexKind,
     circumradius_squared,
@@ -21,7 +21,7 @@ from simplexwidth.closed_form import (
     width_squared,
 )
 from simplexwidth.directions import ENUMERATION_CAP, enumerate_optimal_directions
-from simplexwidth.geometry import Direction
+from simplexwidth.geometry import DimensionError, Direction, check_order
 
 EXPECTED_TABLE_3 = (
     "n,parity,width_std_sq,width_reg_sq,width_reg,inradius,circumradius\n"
@@ -295,6 +295,36 @@ def test_directions_validates_one_direction(monkeypatch, capsys, argv):
     monkeypatch.setattr(Direction, "__post_init__", counting)
     assert run(capsys, "directions", *argv)[0] == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_builds_no_fraction_and_checks_the_order_once(monkeypatch, fmt):
+    # rows come from the closed forms' integer pairs, not one Fraction each
+    built, checked = [], []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    def counting_check_order(*args):
+        checked.append(args)
+        return check_order(*args)
+
+    monkeypatch.setattr(closed_form, "Fraction", CountingFraction)
+    for module in (closed_form, cli):
+        monkeypatch.setattr(module, "check_order", counting_check_order, raising=False)
+    monkeypatch.setattr(sys, "stdout", _HashingStdout())
+    argv = ["table", "--max-n", str(cli.TABLE_MAX_N), "--format", fmt]
+    assert cli.main(argv) == 0
+    assert built == []
+    assert len(checked) <= 1
+
+
+@pytest.mark.parametrize("max_n", [0, True, cli.MAX_ORDER + 1])
+def test_table_rows_rejects_the_order_before_any_row(max_n):
+    with pytest.raises(DimensionError):
+        next(cli.table_rows(max_n, False, 0, 64))
 
 
 def test_optimize_output(capsys):

@@ -4,12 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from simplexwidth.cli import TABLE_MAX_N
 from simplexwidth.closed_form import (
     MAX_ORDER,
     SimplexKind,
+    _radii_squared_pairs,
+    _width_squared_pair,
     alpha_beta,
     alpha_beta_squared,
     center,
@@ -102,6 +105,7 @@ def test_alpha_beta_identities(n, data):
     assert a < 0 < b
     assert abs(t * a + (n + 1 - t) * b) <= 1e-14
     assert abs((b - a) - math.sqrt(width_for_t(n, t))) <= 1e-14
+    assert (a, b) == (-math.sqrt(a_sq), math.sqrt(b_sq))
 
 
 def test_order_and_low_count_validation():
@@ -130,3 +134,25 @@ def test_results_are_fractions_in_lowest_terms():
     assert isinstance(w, Fraction)
     assert w == Fraction(7, 12)
     assert math.gcd(w.numerator, w.denominator) == 1
+
+
+def _assert_pair_is(pair, exact):
+    num, den = pair
+    g = math.gcd(num, den)
+    assert (num // g, den // g) == (exact.numerator, exact.denominator)
+    # int/int division is correctly rounded, in or out of lowest terms
+    assert math.sqrt(num / den) == math.sqrt(exact)
+
+
+@given(st.integers(min_value=1, max_value=MAX_ORDER))
+@example(1)
+@example(2)
+@example(TABLE_MAX_N)
+@example(MAX_ORDER)
+def test_integer_pairs_are_the_public_fractions(n):
+    for kind in SimplexKind:
+        _assert_pair_is(_width_squared_pair(n, kind), width_squared(n, kind))
+        assert width(n, kind) == math.sqrt(width_squared(n, kind))
+    in_pair, circ_pair = _radii_squared_pairs(n)
+    _assert_pair_is(in_pair, inradius_squared(n))
+    _assert_pair_is(circ_pair, circumradius_squared(n))
