@@ -12,21 +12,14 @@ Identical command line and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from fractions import Fraction
 from itertools import product
-from json.encoder import encode_basestring_ascii
 from typing import IO, Callable, Iterator, Sequence
 
-from .closed_form import (
-    SimplexKind,
-    _radii_squared_pairs,
-    _width_squared_pair,
-    width_squared,
-)
+from .closed_form import SimplexKind, _squared_pairs, width_squared
 from .directions import is_optimal_direction, optimal_family
 from .geometry import (
     MAX_ORDER,
@@ -64,17 +57,23 @@ CSV_COLUMNS = (
 )
 NUMERIC_COLUMNS = ("numeric_width", "abs_error")
 
-# Columns rendered as bare JSON number literals rather than strings.
-_NUMBER_COLUMNS = frozenset(
-    ("n", "width_reg", "inradius", "circumradius") + NUMERIC_COLUMNS
-)
+# Written as numerator/denominator, and quoted in a JSON line.
+_RATIONAL_COLUMNS = frozenset(("width_std_sq", "width_reg_sq"))
 
 
 def format_decimal(x: float) -> str:
     """12 significant digits, round-half-even, always with a decimal
-    point or exponent so the value reads as non-integral."""
+    point or exponent so the value reads as non-integral.
+
+    Raises ValueError on inf and nan, which are numbers in neither CSV
+    nor JSON.
+    """
     text = format(x, ".12g")
     if "." not in text and "e" not in text and "E" not in text:
+        # "inf", "-inf" and "nan" have neither, so only they and whole
+        # numbers pay for this check.
+        if not math.isfinite(x):
+            raise ValueError(f"cannot write the non-finite value {x!r} as a decimal")
         text += ".0"
     return text
 
@@ -89,29 +88,50 @@ def _use_color(stream: IO[str]) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-def _format_pair(num: int, den: int) -> str:
-    # In lowest terms, as format_rational writes a Fraction.
-    g = math.gcd(num, den)
-    return f"{num // g}/{den // g}"
+def _line_template(columns: Sequence[str], fmt: str) -> str:
+    """The %-template of one table line in the given format.
+
+    Every column takes one field, a rational column two: its numerator and
+    denominator. No field holds a quote, a comma, a backslash or a control
+    character, so neither format escapes anything. In a JSON line the
+    parity and the rationals are strings, the other columns numbers.
+    """
+    slots = ["%s/%s" if c in _RATIONAL_COLUMNS else "%s" for c in columns]
+    if fmt == "csv":
+        return ",".join(slots) + "\n"
+    quoted = _RATIONAL_COLUMNS | {"parity"}
+    return "{" + ", ".join(
+        f'"{c}": "{slot}"' if c in quoted else f'"{c}": {slot}'
+        for c, slot in zip(columns, slots)
+    ) + "}\n"
 
 
 def table_rows(
     max_n: int, include_numeric: bool, seed: int, restarts: int
 ) -> Iterator[tuple[object, ...]]:
-    """Rows for n = 1..max_n in column order, from the closed forms' pairs."""
+    """The fields of the rows for n = 1..max_n, in the order of
+    `_line_template`, from the closed forms' integer pairs."""
     check_order(max_n)
-    for n in range(1, max_n + 1):
-        reg_num, reg_den = _width_squared_pair(n, SimplexKind.REGULAR)
-        (in_num, in_den), (circ_num, circ_den) = _radii_squared_pairs(n)
+    # Read from the module at call time, once per table, so a wrapper put
+    # there after import (as a tracer does) is the one called.
+    decimal = format_decimal
+    for n, std_num, std_den, reg_num, reg_den, in_num, in_den, circ_num, circ_den in (
+        _squared_pairs(range(1, max_n + 1))
+    ):
+        # Rationals in lowest terms, as format_rational writes a Fraction.
+        g = math.gcd(std_num, std_den)
+        h = math.gcd(reg_num, reg_den)
         width_reg = math.sqrt(reg_num / reg_den)
         row: tuple[object, ...] = (
             n,
             "odd" if n % 2 else "even",
-            _format_pair(*_width_squared_pair(n, SimplexKind.STANDARD)),
-            _format_pair(reg_num, reg_den),
-            format_decimal(width_reg),
-            format_decimal(math.sqrt(in_num / in_den)),
-            format_decimal(math.sqrt(circ_num / circ_den)),
+            std_num // g,
+            std_den // g,
+            reg_num // h,
+            reg_den // h,
+            decimal(width_reg),
+            decimal(math.sqrt(in_num / in_den)),
+            decimal(math.sqrt(circ_num / circ_den)),
         )
         if include_numeric:
             cfg = OptimizerConfig(
@@ -120,16 +140,8 @@ def table_rows(
                 constrain_sum_zero=True,
             )
             numeric = minimize_width(regular_simplex_vertices(n), cfg).width
-            row += (format_decimal(numeric), format_decimal(abs(numeric - width_reg)))
+            row += (decimal(numeric), decimal(abs(numeric - width_reg)))
         yield row
-
-
-def _json_line(row: dict[str, object]) -> str:
-    # encode_basestring_ascii is json.dumps on a str, minus its set-up.
-    return "{" + ", ".join(
-        f'"{k}": {v if k in _NUMBER_COLUMNS else encode_basestring_ascii(v)}'
-        for k, v in row.items()
-    ) + "}"
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -139,13 +151,11 @@ def cmd_table(args: argparse.Namespace) -> int:
             f"--max-n must be in 1..{TABLE_NUMERIC_MAX_N} when --include-numeric is set"
         )
     columns = CSV_COLUMNS + (NUMERIC_COLUMNS if args.include_numeric else ())
+    template = _line_template(columns, args.format)
     rows = table_rows(args.max_n, args.include_numeric, args.seed, args.restarts)
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-    else:
-        sys.stdout.writelines(_json_line(dict(zip(columns, row))) + "\n" for row in rows)
+        sys.stdout.write(",".join(columns) + "\n")
+    sys.stdout.writelines(map(template.__mod__, rows))
     return 0
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from typing import Iterator
 
 # MAX_ORDER is re-exported: it is the closed forms' order cap, applied by
 # check_order.
@@ -44,18 +45,29 @@ def _check_low_count(n: int, t: int) -> None:
         raise ValueError(f"low-coordinate count t must lie in 1..{n}, got {t!r}")
 
 
+def _squared_pairs(ns: range) -> Iterator[tuple[int, ...]]:
+    """For each n in ns: n, then the squared widths of the standard and the
+    regular simplex and the squared inradius and circumradius of the
+    unit-edge simplex, as four (numerator, denominator) pairs flattened
+    into one tuple of nine ints."""
+    for n in ns:
+        num, den = (4, n + 1) if n % 2 else (4 * (n + 1), n * (n + 2))
+        yield n, num, den, num, 2 * den, 1, 2 * n * (n + 1), n, 2 * (n + 1)
+
+
 def _width_squared_pair(n: int, kind: SimplexKind) -> tuple[int, int]:
-    num, den = (4, n + 1) if n % 2 else (4 * (n + 1), n * (n + 2))
+    _, std_num, std_den, reg_num, reg_den, *_ = next(_squared_pairs(range(n, n + 1)))
     if kind is SimplexKind.STANDARD:
-        return num, den
+        return std_num, std_den
     if kind is SimplexKind.REGULAR:
-        return num, 2 * den
+        return reg_num, reg_den
     raise TypeError(f"unknown simplex kind: {kind!r}")
 
 
 def _radii_squared_pairs(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     # inradius^2 and circumradius^2 of the unit-edge simplex
-    return (1, 2 * n * (n + 1)), (n, 2 * (n + 1))
+    *_, in_num, in_den, circ_num, circ_den = next(_squared_pairs(range(n, n + 1)))
+    return (in_num, in_den), (circ_num, circ_den)
 
 
 def width_squared(n: int, kind: SimplexKind) -> Fraction:

@@ -45,6 +45,12 @@ def test_format_decimal_12_significant_digits():
     assert cli.format_decimal(1e-16) == "1e-16"
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_format_decimal_rejects_non_finite_values(x):
+    with pytest.raises(ValueError, match=repr(x)):
+        cli.format_decimal(x)
+
+
 def test_format_rational_lowest_terms():
     assert cli.format_rational(Fraction(4, 8)) == "1/2"
     assert cli.format_rational(Fraction(1)) == "1/1"
@@ -276,10 +282,29 @@ def test_table_golden_digest(monkeypatch, fmt, lines, digest):
     assert sink.sha.hexdigest() == digest
 
 
-@pytest.mark.parametrize("text", ['"', "\\", "\n", "é", "\u2028", "odd", "3/2"])
-def test_json_line_renders_strings_as_json_dumps(text):
-    assert cli._json_line({"parity": text}) == '{"parity": ' + json.dumps(text) + "}"
-    assert json.loads(cli._json_line({"n": 1, "parity": text})) == {"n": 1, "parity": text}
+@pytest.mark.parametrize(
+    "argv",
+    [("--max-n", str(cli.TABLE_MAX_N)), ("--max-n", "8", "--include-numeric")],
+    ids=["cap", "numeric"],
+)
+def test_table_json_lines_are_the_csv_rows(capsys, argv):
+    code, csv_out, _ = run(capsys, "table", *argv)
+    assert code == 0
+    code, json_out, _ = run(capsys, "table", *argv, "--format", "json")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    lines = json_out.splitlines()
+    assert len(lines) == len(rows) == int(argv[1])
+    strings = {"parity", "width_std_sq", "width_reg_sq"}
+    for line, row in zip(lines, rows):
+        expected = {
+            key: int(text) if key == "n" else text if key in strings else float(text)
+            for key, text in row.items()
+        }
+        obj = json.loads(line)
+        assert obj == expected
+        assert list(obj) == list(row)  # the CSV column order
+        assert {key for key, value in obj.items() if isinstance(value, str)} == strings
 
 
 @pytest.mark.parametrize("argv", [("--n", "100"), ("--n", "5", "--list")])
@@ -319,6 +344,15 @@ def test_table_builds_no_fraction_and_checks_the_order_once(monkeypatch, fmt):
     assert cli.main(argv) == 0
     assert built == []
     assert len(checked) <= 1
+
+
+def test_table_calls_format_decimal_through_the_module(monkeypatch, capsys):
+    # the benchmark's tracer counts decimals by wrapping this global after import
+    calls = []
+    original = cli.format_decimal
+    monkeypatch.setattr(cli, "format_decimal", lambda x: calls.append(x) or original(x))
+    assert run(capsys, "table", "--max-n", "10", "--format", "json")[0] == 0
+    assert len(calls) == 30
 
 
 @pytest.mark.parametrize("max_n", [0, True, cli.MAX_ORDER + 1])
@@ -483,3 +517,27 @@ def test_exact_commands_run_without_numpy(capsys):
     for argv, (code, out) in zip(EXACT_COMMANDS, report["runs"]):
         assert code == 0, argv
         assert out == run(capsys, *argv)[1], argv
+
+
+# Imports the CLI and prints which of the modules named in argv[1] it loaded.
+_LOADED_MODULES = """
+import sys
+import simplexwidth.cli
+names = sys.argv[1].split(",")
+print(repr([name for name in names if name in sys.modules]))
+"""
+
+
+def test_cli_start_imports_neither_csv_nor_json():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    numeric = ["simplexwidth.optimizer", "simplexwidth.verification", "simplexwidth.energy"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, ",".join(["csv", "json", *numeric])],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the tracer of the benchmark finds its hooks in the numeric modules
+    assert proc.stdout.strip() == repr(numeric)
