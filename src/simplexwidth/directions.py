@@ -10,7 +10,6 @@ no uniqueness claim).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -21,6 +20,7 @@ from .geometry import (
     UNIT_NORM_TOL,
     DimensionError,
     Direction,
+    Frozen,
     PreconditionError,
     Vector,
     check_order,
@@ -36,8 +36,7 @@ ENUMERATION_CAP = 20
 MEMBERSHIP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class OptimalFamily:
+class OptimalFamily(Frozen):
     """The width-achieving family of the standard n-simplex, as one
     validated representative and the low sets of all its members.
 
@@ -46,10 +45,14 @@ class OptimalFamily:
     (low set {0, ..., t-1}).
     """
 
+    _fields = ("n", "t", "alpha", "beta")
     n: int
     t: int
     alpha: float
     beta: float
+
+    def __init__(self, n: int, t: int, alpha: float, beta: float) -> None:
+        self.__dict__.update(n=n, t=t, alpha=alpha, beta=beta)
 
     @cached_property
     def representative(self) -> Direction:

@@ -12,33 +12,33 @@ snap of `optimizer.minimize_width`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import PreconditionError, Vector
+from .geometry import Frozen, PreconditionError, Vector
 
 # Relative gap certifying a strict energy increase in floating point.
 ENERGY_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(Frozen):
     """Mean, mean-centered vector, and energy of one input vector."""
 
+    _fields = ("mean", "centered", "energy")
     mean: float
     centered: Vector
     energy: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, mean: float, centered: Vector, energy: float) -> None:
         # Each centered coordinate is rounded relative to the input's
         # magnitude, which is at most |mean| + max |centered|.
-        coords = self.centered.coords
-        scale = max(1.0, abs(self.mean) + max(map(abs, coords)))
-        if abs(self.centered.coordinate_sum()) > 1e-12 * len(coords) * scale:
+        coords = centered.coords
+        scale = max(1.0, abs(mean) + max(map(abs, coords)))
+        if abs(centered.coordinate_sum()) > 1e-12 * len(coords) * scale:
             raise ValueError("centered vector must have coordinate sum zero")
-        nsq = self.centered.norm_squared()
-        if abs(self.energy - nsq) > 1e-12 * max(1.0, nsq):
+        nsq = centered.norm_squared()
+        if abs(energy - nsq) > 1e-12 * max(1.0, nsq):
             raise ValueError("energy must equal the squared centered norm")
+        self.__dict__.update(mean=mean, centered=centered, energy=energy)
 
 
 def center_vector(v: Vector) -> EnergyReport:

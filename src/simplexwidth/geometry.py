@@ -8,7 +8,6 @@ width of a point set along a unit direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Absolute tolerance on the squared norm of a unit vector, and on the
 # coordinate sum of a sum-zero vector. Well above double rounding, far
@@ -33,23 +32,61 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated hypothesis."""
 
 
-@dataclass(frozen=True)
-class Vector:
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields, in constructor order, in ``_fields`` and
+    stores them in the instance ``__dict__`` from its own ``__init__``.
+    Instances of one class compare and hash by their fields, print as
+    ``Name(field=value, ...)``, and refuse attribute assignment and
+    deletion. Keeping the plain instance ``__dict__`` (no ``__slots__``)
+    lets ``copy``, ``pickle`` and ``functools.cached_property`` work.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        attrs = self.__dict__
+        return tuple([attrs[name] for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            [f"{name}={value!r}" for name, value in zip(self._fields, self._values())]
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vector(Frozen):
     """Immutable dense coordinate vector in R^d."""
 
+    _fields = ("coords",)
     coords: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if isinstance(self.coords, (str, bytes, bytearray)):
+    def __init__(self, coords: tuple[float, ...]) -> None:
+        if isinstance(coords, (str, bytes, bytearray)):
             raise TypeError("vector coordinates must be numbers, not str or bytes")
         # Built from a list: tuple() of a map grows by reallocation and
         # leaves the heap fragmented when many vectors of mixed size are made.
-        coords = tuple([*map(float, self.coords)])
+        coords = tuple([*map(float, coords)])
         if len(coords) == 0:
             raise DimensionError("a vector needs at least one coordinate")
         if not all(map(math.isfinite, coords)):
             raise ValueError("vector coordinates must be finite")
-        object.__setattr__(self, "coords", coords)
+        self.__dict__["coords"] = coords
 
     @property
     def dim(self) -> int:
@@ -75,8 +112,7 @@ class Vector:
         return Vector(tuple([s * c for c in self.coords]))
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Frozen):
     """Unit vector, optionally constrained to the sum-zero subspace.
 
     ``sum_zero`` marks directions orthogonal to the all-ones vector,
@@ -84,16 +120,29 @@ class Direction:
     simplex. Both invariants are validated on construction.
     """
 
+    _fields = ("vec", "sum_zero")
     vec: Vector
-    sum_zero: bool = False
+    sum_zero: bool
+
+    def __init__(self, vec: Vector, sum_zero: bool = False) -> None:
+        attrs = self.__dict__
+        attrs["vec"] = vec
+        attrs["sum_zero"] = sum_zero
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        nsq = self.vec.norm_squared()
+        # A method of its own so that a profiler can wrap every check.
+        vec, sum_zero = self.vec, self.sum_zero
+        if not isinstance(vec, Vector):
+            raise TypeError(f"direction vec must be a Vector, got {type(vec).__name__}")
+        if not isinstance(sum_zero, bool):
+            raise TypeError(f"sum_zero must be a bool, got {sum_zero!r}")
+        nsq = vec.norm_squared()
         if abs(nsq - 1.0) > UNIT_NORM_TOL:
             raise PreconditionError(
                 f"direction must be a unit vector, got squared norm {nsq!r}"
             )
-        if self.sum_zero and abs(self.vec.coordinate_sum()) > SUM_ZERO_TOL:
+        if sum_zero and abs(vec.coordinate_sum()) > SUM_ZERO_TOL:
             raise PreconditionError(
                 "direction flagged sum-zero has a nonzero coordinate sum"
             )
@@ -121,23 +170,28 @@ class Direction:
         return cls(v.scaled(1.0 / n), sum_zero)
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Frozen):
     """Nonempty list of points sharing one ambient dimension.
 
     Duplicate points are legal; they never change a projection width.
     """
 
+    _fields = ("points",)
     points: tuple[Vector, ...]
 
-    def __post_init__(self) -> None:
-        points = tuple(self.points)
+    def __init__(self, points: tuple[Vector, ...]) -> None:
+        points = tuple(points)
         if len(points) == 0:
             raise ValueError("a point set must be nonempty")
+        for p in points:
+            if not isinstance(p, Vector):
+                raise TypeError(
+                    f"point set members must be Vectors, got {type(p).__name__}"
+                )
         d = points[0].dim
         if any(p.dim != d for p in points):
             raise DimensionError("all points must share one dimension")
-        object.__setattr__(self, "points", points)
+        self.__dict__["points"] = points
 
     @property
     def dim(self) -> int:

@@ -19,13 +19,19 @@ every run deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
 from .closed_form import width_for_t
 from .directions import make_two_value_direction
-from .geometry import DimensionError, Direction, PointSet, Vector, check_order
+from .geometry import (
+    DimensionError,
+    Direction,
+    Frozen,
+    PointSet,
+    Vector,
+    check_order,
+)
 
 # numpy is imported in the body of each function that uses it, so that
 # importing the package, as the exact CLI commands do, does not load it.
@@ -41,8 +47,7 @@ PATIENCE = 5
 STEP_INIT = 1.0
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(Frozen):
     """Knobs for `minimize_width`.
 
     The step schedule is STEP_INIT/sqrt(iter), the standard choice for
@@ -54,32 +59,54 @@ class OptimizerConfig:
     simplices `minimize_width` stops earlier once its two-value snap
     stalls (see there). ``tol`` is the "improved by less than" threshold
     of both ``converged`` and that stall rule. ``restarts``, ``max_iters``
-    and ``seed`` must be ints (not bools), as simplex orders must.
+    and ``seed`` must be ints (not bools), as simplex orders must, and
+    ``constrain_sum_zero`` a bool.
     """
 
-    restarts: int = 64
-    max_iters: int = 10_000
-    tol: float = 1e-10
-    seed: int = 0
-    constrain_sum_zero: bool = False
+    _fields = ("restarts", "max_iters", "tol", "seed", "constrain_sum_zero")
+    restarts: int
+    max_iters: int
+    tol: float
+    seed: int
+    constrain_sum_zero: bool
 
-    def __post_init__(self) -> None:
-        for name in ("restarts", "max_iters", "seed"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        restarts: int = 64,
+        max_iters: int = 10_000,
+        tol: float = 1e-10,
+        seed: int = 0,
+        constrain_sum_zero: bool = False,
+    ) -> None:
+        for name, value in (
+            ("restarts", restarts),
+            ("max_iters", max_iters),
+            ("seed", seed),
+        ):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.restarts < 1:
+        if restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.max_iters < 1:
+        if max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.tol > 0:
+        if not tol > 0:
             raise ValueError("tol must be positive")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        if not isinstance(constrain_sum_zero, bool):
+            raise ValueError(
+                f"constrain_sum_zero must be a bool, got {constrain_sum_zero!r}"
+            )
+        self.__dict__.update(
+            restarts=restarts,
+            max_iters=max_iters,
+            tol=tol,
+            seed=seed,
+            constrain_sum_zero=constrain_sum_zero,
+        )
 
 
-@dataclass(frozen=True)
-class WidthResult:
+class WidthResult(Frozen):
     """Achieved width, the direction achieving it, and run metadata.
 
     ``iterations`` is the count actually run: the subgradient iterations
@@ -91,11 +118,28 @@ class WidthResult:
     floating point.
     """
 
+    _fields = ("width", "direction", "iterations", "converged", "width_squared_exact")
     width: float
     direction: Direction
     iterations: int
     converged: bool
-    width_squared_exact: Fraction | None = None
+    width_squared_exact: Fraction | None
+
+    def __init__(
+        self,
+        width: float,
+        direction: Direction,
+        iterations: int,
+        converged: bool,
+        width_squared_exact: Fraction | None = None,
+    ) -> None:
+        self.__dict__.update(
+            width=width,
+            direction=direction,
+            iterations=iterations,
+            converged=converged,
+            width_squared_exact=width_squared_exact,
+        )
 
 
 def _points_matrix(points: PointSet) -> np.ndarray:

@@ -8,7 +8,6 @@ a verification run is reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_form import (
@@ -25,6 +24,7 @@ from .closed_form import (
 from .directions import enumerate_optimal_directions, is_optimal_direction
 from .energy import energy_push
 from .geometry import (
+    Frozen,
     Vector,
     distance,
     projection_width,
@@ -43,11 +43,16 @@ OPTIMIZER_MAX_N = 12
 FUZZ_TRIALS = 10_000
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
+    """Name, verdict and one-line detail of one verification check."""
+
+    _fields = ("name", "passed", "detail")
     name: str
     passed: bool
     detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
 
 def derive_seed(seed: int, *key: int) -> int:

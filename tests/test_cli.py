@@ -532,7 +532,12 @@ def test_cli_start_imports_neither_csv_nor_json():
     src = str(Path(__file__).resolve().parents[1] / "src")
     numeric = ["simplexwidth.optimizer", "simplexwidth.verification", "simplexwidth.energy"]
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_MODULES, ",".join(["csv", "json", *numeric])],
+        [
+            sys.executable,
+            "-c",
+            _LOADED_MODULES,
+            ",".join(["csv", "json", "dataclasses", "inspect", *numeric]),
+        ],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),

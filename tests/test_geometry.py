@@ -126,6 +126,38 @@ def test_pointset_validation():
     assert len(ps) == 1 and ps.dim == 2
 
 
+_HALF = math.sqrt(0.5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Direction((1.0, 0.0)),
+        lambda: Direction([_HALF, -_HALF], sum_zero=True),
+        lambda: Direction(Vector((_HALF, -_HALF)), sum_zero="no"),
+        lambda: Direction(Vector((1.0, 0.0)), sum_zero=0),
+        lambda: Direction.normalized((1.0, -1.0), sum_zero=1),
+        lambda: PointSet(((1.0,),)),
+        lambda: PointSet("ab"),
+        lambda: PointSet((Vector((1.0,)), (2.0,))),
+    ],
+    ids=[
+        "direction-of-tuple",
+        "direction-of-list",
+        "sum-zero-str",
+        "sum-zero-int",
+        "normalized-sum-zero-int",
+        "points-of-tuples",
+        "points-of-str",
+        "one-point-a-tuple",
+    ],
+)
+def test_constructors_reject_wrong_types(build):
+    # a TypeError that names the input, not an AttributeError from inside
+    with pytest.raises(TypeError, match="Vector|bool"):
+        build()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_standard_simplex_vertices(n):
     ps = standard_simplex_vertices(n)

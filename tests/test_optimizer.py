@@ -1,6 +1,5 @@
 """Subgradient minimizer, dense grid oracle, and exact enumeration."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -66,7 +65,8 @@ def test_config_validation():
         OptimizerConfig(seed=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(seed=2**64)
-    # the integer fields follow check_order's rule: an int, not a bool
+    # the integer fields follow check_order's rule: an int, not a bool;
+    # the flag must be a bool
     for field, value in [
         ("restarts", 2.5),
         ("restarts", True),
@@ -75,6 +75,9 @@ def test_config_validation():
         ("seed", 1.5),
         ("seed", True),
         ("seed", "1"),
+        ("constrain_sum_zero", 1),
+        ("constrain_sum_zero", "no"),
+        ("constrain_sum_zero", None),
     ]:
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: value})
@@ -316,7 +319,13 @@ def test_early_stop_is_the_reference_loop_cut_short(points, sum_zero):
         return
     assert result.iterations < cfg.max_iters
     assert result.iterations % SNAP_EVERY == 0
-    cut = dataclasses.replace(cfg, max_iters=result.iterations)
+    cut = OptimizerConfig(
+        restarts=cfg.restarts,
+        max_iters=result.iterations,
+        tol=cfg.tol,
+        seed=cfg.seed,
+        constrain_sum_zero=cfg.constrain_sum_zero,
+    )
     width, coords, converged, iterations = _reference_minimize_width(points, cut)
     assert result.width == width
     assert result.direction.coords == coords

@@ -1,6 +1,17 @@
-"""The public namespace of the package."""
+"""The public namespace of the package and its immutable value classes."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
 
 import simplexwidth
+from simplexwidth.directions import OptimalFamily
+from simplexwidth.energy import EnergyReport
+from simplexwidth.geometry import Direction, PointSet, Vector
+from simplexwidth.optimizer import OptimizerConfig, WidthResult
+from simplexwidth.verification import CheckResult
 
 
 def test_public_names_resolve_once():
@@ -8,3 +19,114 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(simplexwidth, name), name
+
+
+_UNIT = Vector((0.6, 0.8))
+
+# (class, the shortest positional call, every field by keyword with the
+# defaults spelled out, its repr, one field and another value for it)
+VALUE_CASES = [
+    (
+        Vector,
+        ((0.6, 0.8),),
+        {"coords": (0.6, 0.8)},
+        "Vector(coords=(0.6, 0.8))",
+        ("coords", (0.8, 0.6)),
+    ),
+    (
+        Direction,
+        (_UNIT,),
+        {"vec": _UNIT, "sum_zero": False},
+        "Direction(vec=Vector(coords=(0.6, 0.8)), sum_zero=False)",
+        ("vec", Vector((0.8, 0.6))),
+    ),
+    (
+        PointSet,
+        ((Vector((1.0, 0.0)), Vector((0.0, 1.0))),),
+        {"points": (Vector((1.0, 0.0)), Vector((0.0, 1.0)))},
+        "PointSet(points=(Vector(coords=(1.0, 0.0)), Vector(coords=(0.0, 1.0))))",
+        ("points", (Vector((1.0, 0.0)),)),
+    ),
+    (
+        OptimalFamily,
+        (3, 2, -0.5, 0.5),
+        {"n": 3, "t": 2, "alpha": -0.5, "beta": 0.5},
+        "OptimalFamily(n=3, t=2, alpha=-0.5, beta=0.5)",
+        ("t", 1),
+    ),
+    (
+        EnergyReport,
+        (2.0, Vector((-1.0, 1.0)), 2.0),
+        {"mean": 2.0, "centered": Vector((-1.0, 1.0)), "energy": 2.0},
+        "EnergyReport(mean=2.0, centered=Vector(coords=(-1.0, 1.0)), energy=2.0)",
+        ("mean", 3.0),
+    ),
+    (
+        OptimizerConfig,
+        (),
+        {
+            "restarts": 64,
+            "max_iters": 10_000,
+            "tol": 1e-10,
+            "seed": 0,
+            "constrain_sum_zero": False,
+        },
+        "OptimizerConfig(restarts=64, max_iters=10000, tol=1e-10, seed=0, "
+        "constrain_sum_zero=False)",
+        ("seed", 1),
+    ),
+    (
+        WidthResult,
+        (0.5, Direction(_UNIT), 3, True),
+        {
+            "width": 0.5,
+            "direction": Direction(_UNIT),
+            "iterations": 3,
+            "converged": True,
+            "width_squared_exact": None,
+        },
+        "WidthResult(width=0.5, direction=Direction(vec=Vector(coords=(0.6, 0.8)), "
+        "sum_zero=False), iterations=3, converged=True, width_squared_exact=None)",
+        ("width_squared_exact", Fraction(1, 4)),
+    ),
+    (
+        CheckResult,
+        ("x", True, "ok"),
+        {"name": "x", "passed": True, "detail": "ok"},
+        "CheckResult(name='x', passed=True, detail='ok')",
+        ("passed", False),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,args,fields,text,change",
+    VALUE_CASES,
+    ids=[case[0].__name__ for case in VALUE_CASES],
+)
+def test_value_classes_are_immutable_values(cls, args, fields, text, change):
+    value = cls(**fields)
+    if cls is OptimalFamily:
+        # the cached member lives in the instance and changes none of the below
+        assert value.representative is value.representative
+    assert cls(*args) == value
+    assert cls(*fields.values()) == value
+    assert hash(cls(*args)) == hash(value)
+    assert repr(value) == text
+
+    name, other = change
+    assert cls(**{**fields, name: other}) != value
+    subclass = type(cls.__name__, (cls,), {})
+    assert subclass(**fields) != value and value != subclass(**fields)
+    assert value != tuple(fields.values())
+
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, fields[field])
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert repr(value) == text
+
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+    assert copy.copy(value) == value
