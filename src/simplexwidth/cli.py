@@ -23,6 +23,7 @@ from .closed_form import SimplexKind, _squared_pairs, width_squared
 from .directions import is_optimal_direction, optimal_family
 from .geometry import (
     MAX_ORDER,
+    MAX_SEED,
     VERTEX_MAX_ORDER,
     DimensionError,
     PreconditionError,
@@ -245,20 +246,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _seed_type(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
-
-
-def _bounded_int(limit: int) -> Callable[[str], int]:
-    """Argument type for an integer in 1..``limit``."""
+def _bounded_int(hi: int, lo: int = 1) -> Callable[[str], int]:
+    """Argument type for an integer in lo..hi."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if not 1 <= value <= limit:
-            raise argparse.ArgumentTypeError(f"must be in 1..{limit}")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}")
         return value
 
     return parse
@@ -280,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="append the numeric minimizer's width and its absolute error",
     )
     table.add_argument("--restarts", type=_bounded_int(MAX_RESTARTS), default=64)
-    table.add_argument("--seed", type=_seed_type, default=0)
+    table.add_argument("--seed", type=_bounded_int(MAX_SEED, 0), default=0)
     table.set_defaults(func=cmd_table)
 
     width = sub.add_parser("width", help="width of a single simplex")
@@ -296,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument("--n", type=_bounded_int(OPTIMIZE_MAX_N), required=True)
     optimize.add_argument("--restarts", type=_bounded_int(MAX_RESTARTS), default=64)
-    optimize.add_argument("--seed", type=_seed_type, default=0)
+    optimize.add_argument("--seed", type=_bounded_int(MAX_SEED, 0), default=0)
     optimize.add_argument("--tol", type=float, default=1e-10)
     optimize.set_defaults(func=cmd_optimize)
 
@@ -313,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the full cross-check battery")
     verify.add_argument("--max-n", type=_bounded_int(VERIFY_MAX_N), default=12)
-    verify.add_argument("--seed", type=_seed_type, default=0)
+    verify.add_argument("--seed", type=_bounded_int(MAX_SEED, 0), default=0)
     verify.set_defaults(func=cmd_verify)
 
     return parser

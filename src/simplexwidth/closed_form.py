@@ -31,18 +31,12 @@ from typing import Iterator
 
 # MAX_ORDER is re-exported: it is the closed forms' order cap, applied by
 # check_order.
-from .geometry import MAX_ORDER, Vector, check_order
+from .geometry import MAX_ORDER, Vector, check_int, check_order
 
 
 class SimplexKind(Enum):
     STANDARD = "standard"
     REGULAR = "regular"
-
-
-def _check_low_count(n: int, t: int) -> None:
-    check_order(n)
-    if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= n:
-        raise ValueError(f"low-coordinate count t must lie in 1..{n}, got {t!r}")
 
 
 def _squared_pairs(ns: range) -> Iterator[tuple[int, ...]]:
@@ -128,7 +122,8 @@ def width_for_t(n: int, t: int) -> Fraction:
     Equals (n+1)/(t(n+1-t)); minimized over t at t = (n+1)//2 (and, for
     even n, equally at t = n/2 + 1 by the t <-> n+1-t symmetry).
     """
-    _check_low_count(n, t)
+    check_order(n)
+    check_int(t, "low-coordinate count t", 1, n)
     return Fraction(n + 1, t * (n + 1 - t))
 
 
@@ -139,7 +134,8 @@ def alpha_beta_squared(n: int, t: int) -> tuple[Fraction, Fraction]:
     alpha^2 = (n+1-t)/(t(n+1)) and beta^2 = t/((n+1-t)(n+1)). They
     satisfy t*alpha^2 + (n+1-t)*beta^2 = 1 identically.
     """
-    _check_low_count(n, t)
+    check_order(n)
+    check_int(t, "low-coordinate count t", 1, n)
     return (
         Fraction(n + 1 - t, t * (n + 1)),
         Fraction(t, (n + 1 - t) * (n + 1)),

@@ -17,12 +17,12 @@ from typing import Iterable, Iterator
 from .closed_form import alpha_beta
 from .geometry import (
     SUM_ZERO_TOL,
-    UNIT_NORM_TOL,
     DimensionError,
     Direction,
     Frozen,
     PreconditionError,
     Vector,
+    check_int,
     check_order,
 )
 
@@ -93,14 +93,12 @@ def optimal_family(n: int) -> OptimalFamily:
 def make_two_value_direction(n: int, t: int, low_set: Iterable[int]) -> Direction:
     """The unit sum-zero direction with alpha(n, t) on the t indices of
     ``low_set`` and beta(n, t) on the other n+1-t."""
-    low = frozenset(int(i) for i in low_set)
-    if any(i < 0 or i > n for i in low):
-        raise IndexError(f"low_set indices must lie in 0..{n}")
+    a, b = alpha_beta(n, t)
+    low = frozenset([check_int(i, "low_set index", 0, n, IndexError) for i in low_set])
     if len(low) != t:
         raise ValueError(
             f"low_set must contain exactly t={t} distinct indices, got {len(low)}"
         )
-    a, b = alpha_beta(n, t)
     coords = tuple([a if i in low else b for i in range(n + 1)])
     return Direction(Vector(coords), sum_zero=True)
 
@@ -125,11 +123,10 @@ def is_optimal_direction(n: int, u: Direction) -> bool:
     means membership in the constructed family, with no claim that
     False implies a suboptimal direction.
     """
+    if not isinstance(u, Direction):
+        raise TypeError(f"u must be a Direction, got {type(u).__name__}")
     if u.dim != n + 1:
         raise DimensionError(f"direction has dimension {u.dim}, expected {n + 1}")
-    nsq = u.vec.norm_squared()
-    if abs(nsq - 1.0) > UNIT_NORM_TOL:
-        raise PreconditionError("direction must be a unit vector")
     if abs(u.vec.coordinate_sum()) > SUM_ZERO_TOL:
         raise PreconditionError("direction must be sum-zero")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .geometry import Frozen, PreconditionError, Vector
+from .geometry import Frozen, PreconditionError, Vector, check_int
 
 # Relative gap certifying a strict energy increase in floating point.
 ENERGY_REL_TOL = 1e-12
@@ -29,6 +29,8 @@ class EnergyReport(Frozen):
     energy: float
 
     def __init__(self, mean: float, centered: Vector, energy: float) -> None:
+        if not isinstance(centered, Vector):
+            raise TypeError(f"centered must be a Vector, got {type(centered).__name__}")
         # Each centered coordinate is rounded relative to the input's
         # magnitude, which is at most |mean| + max |centered|.
         coords = centered.coords
@@ -63,17 +65,14 @@ def energy_push(
     Hypothesis, checked before doing anything: either
     new_value > v_i >= mean(v), or new_value < v_i < mean(v).
     Violations raise PreconditionError; under the hypothesis the verdict
-    is always True. A non-int (or bool) i raises ValueError.
+    is always True.
 
     With ``exact=True`` the hypothesis and the verdict are evaluated in
     exact rational arithmetic over the binary values of the inputs;
     otherwise the verdict requires a relative float gap of
     ENERGY_REL_TOL to rule out rounding false positives.
     """
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise ValueError(f"coordinate index must be an int, got {i!r}")
-    if not 0 <= i < v.dim:
-        raise IndexError(f"coordinate index {i} out of range for dimension {v.dim}")
+    check_int(i, "coordinate index", 0, v.dim - 1, IndexError)
     new_value = float(new_value)
     if not math.isfinite(new_value):
         raise ValueError("new coordinate value must be finite")

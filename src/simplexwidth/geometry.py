@@ -23,6 +23,9 @@ MAX_ORDER = 10**6
 # Python floats, about 8 MB at this order.
 VERTEX_MAX_ORDER = 1000
 
+# Largest seed: seeds are unsigned 64-bit integers.
+MAX_SEED = 2**64 - 1
+
 
 class DimensionError(ValueError):
     """Invalid or mismatched ambient dimension."""
@@ -135,8 +138,7 @@ class Direction(Frozen):
         vec, sum_zero = self.vec, self.sum_zero
         if not isinstance(vec, Vector):
             raise TypeError(f"direction vec must be a Vector, got {type(vec).__name__}")
-        if not isinstance(sum_zero, bool):
-            raise TypeError(f"sum_zero must be a bool, got {sum_zero!r}")
+        check_flag(sum_zero, "sum_zero")
         nsq = vec.norm_squared()
         if abs(nsq - 1.0) > UNIT_NORM_TOL:
             raise PreconditionError(
@@ -204,12 +206,40 @@ class PointSet(Frozen):
         return iter(self.points)
 
 
+# The package's argument rule: an integer, seed or flag of the wrong type
+# or out of range raises ValueError (DimensionError for orders and
+# dimensions); an index of the right type that is out of range raises
+# IndexError.
+
+
+def check_int(
+    value: int,
+    name: str,
+    lo: int = 1,
+    hi: int | None = None,
+    error: type[Exception] = ValueError,
+) -> int:
+    """Return ``value`` if it is an int, not a bool, in lo..hi (no upper
+    bound when hi is None). Otherwise raise ``error``, except that a value
+    of another type raises ValueError when ``error`` is not a ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        wrong_type = error if issubclass(error, ValueError) else ValueError
+        raise wrong_type(f"{name} must be an integer, got {value!r}")
+    if value < lo or hi is not None and value > hi:
+        raise error(f"{name} must be in {lo}..{'' if hi is None else hi}, got {value}")
+    return value
+
+
+def check_flag(value: bool, name: str) -> bool:
+    """Return ``value`` if it is a bool; raise ValueError otherwise."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
 def check_order(n: int, cap: int = MAX_ORDER) -> None:
     """Raise DimensionError unless n is an int (not a bool) in 1..cap."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DimensionError(f"simplex order must be a positive integer, got {n!r}")
-    if n > cap:
-        raise DimensionError(f"simplex order is capped at {cap}")
+    check_int(n, "simplex order", 1, cap, DimensionError)
 
 
 def standard_simplex_vertices(n: int) -> PointSet:

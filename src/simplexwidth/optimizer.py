@@ -25,11 +25,14 @@ from typing import TYPE_CHECKING, Iterator
 from .closed_form import width_for_t
 from .directions import make_two_value_direction
 from .geometry import (
+    MAX_SEED,
     DimensionError,
     Direction,
     Frozen,
     PointSet,
     Vector,
+    check_flag,
+    check_int,
     check_order,
 )
 
@@ -58,9 +61,7 @@ class OptimizerConfig(Frozen):
     ``max_iters`` is an upper bound: on the standard and regular
     simplices `minimize_width` stops earlier once its two-value snap
     stalls (see there). ``tol`` is the "improved by less than" threshold
-    of both ``converged`` and that stall rule. ``restarts``, ``max_iters``
-    and ``seed`` must be ints (not bools), as simplex orders must, and
-    ``constrain_sum_zero`` a bool.
+    of both ``converged`` and that stall rule.
     """
 
     _fields = ("restarts", "max_iters", "tol", "seed", "constrain_sum_zero")
@@ -78,31 +79,14 @@ class OptimizerConfig(Frozen):
         seed: int = 0,
         constrain_sum_zero: bool = False,
     ) -> None:
-        for name, value in (
-            ("restarts", restarts),
-            ("max_iters", max_iters),
-            ("seed", seed),
-        ):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not tol > 0:
-            raise ValueError("tol must be positive")
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not isinstance(constrain_sum_zero, bool):
-            raise ValueError(
-                f"constrain_sum_zero must be a bool, got {constrain_sum_zero!r}"
-            )
+        if not isinstance(tol, float) or not tol > 0:
+            raise ValueError(f"tol must be a positive float, got {tol!r}")
         self.__dict__.update(
-            restarts=restarts,
-            max_iters=max_iters,
+            restarts=check_int(restarts, "restarts"),
+            max_iters=check_int(max_iters, "max_iters"),
             tol=tol,
-            seed=seed,
-            constrain_sum_zero=constrain_sum_zero,
+            seed=check_int(seed, "seed", 0, MAX_SEED),
+            constrain_sum_zero=check_flag(constrain_sum_zero, "constrain_sum_zero"),
         )
 
 
@@ -164,10 +148,7 @@ def _restart_inits(cfg: OptimizerConfig, dim: int) -> np.ndarray:
     rows = np.empty((cfg.restarts, dim))
     for k, child in enumerate(children):
         rng = np.random.default_rng(child)
-        v = rng.standard_normal(dim)
-        if cfg.constrain_sum_zero:
-            v = v - v.mean()
-        norm = np.linalg.norm(v)
+        norm = 0.0
         while norm < 1e-12:
             v = rng.standard_normal(dim)
             if cfg.constrain_sum_zero:
@@ -274,10 +255,7 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
 
     dim = points.dim
     sum_zero = cfg.constrain_sum_zero
-    if sum_zero and dim < 2:
-        raise DimensionError(
-            "the sum-zero constraint leaves no directions in dimension 1"
-        )
+    check_int(dim - sum_zero, "search dimension", 1, error=DimensionError)
     pts = _points_matrix(points)
     scale = _identity_scale(pts)
     r = cfg.restarts
@@ -382,17 +360,9 @@ def grid_directions(
     """
     import numpy as np
 
-    if resolution < 8:
-        raise ValueError("grid resolution must be at least 8")
-    search_dim = dim - 1 if constrain_sum_zero else dim
-    if constrain_sum_zero and dim < 2:
-        raise DimensionError(
-            "the sum-zero constraint leaves no directions in dimension 1"
-        )
-    if not 1 <= search_dim <= 3:
-        raise ValueError(
-            f"grid search supports subspace dimensions 1..3, got {search_dim}"
-        )
+    check_int(resolution, "grid resolution", 8)
+    search_dim = dim - check_flag(constrain_sum_zero, "constrain_sum_zero")
+    check_int(search_dim, "grid search dimension", 1, 3, DimensionError)
     basis = _constraint_basis(dim, constrain_sum_zero)
 
     if search_dim == 1:

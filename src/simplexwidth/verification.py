@@ -24,8 +24,11 @@ from .closed_form import (
 from .directions import enumerate_optimal_directions, is_optimal_direction
 from .energy import energy_push
 from .geometry import (
+    MAX_SEED,
     Frozen,
     Vector,
+    check_int,
+    check_order,
     distance,
     projection_width,
     standard_simplex_vertices,
@@ -57,6 +60,9 @@ class CheckResult(Frozen):
 
 def derive_seed(seed: int, *key: int) -> int:
     """Child seed from the run seed and an integer key path."""
+    check_int(seed, "seed", 0, MAX_SEED)
+    for k in key:
+        check_int(k, "seed key", 0)
     import numpy as np
 
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
@@ -178,10 +184,9 @@ def energy_fuzz(trials: int, seed: int) -> tuple[int, int]:
     Coordinates are i.i.d. uniform on [-10, 10] with dimension uniform
     on [2, 50]. The move size is kept at least 1e-3 so that a true
     strict increase can never be swallowed by the float verdict gap.
-    ``trials`` must be an int (not a bool) of at least 1.
     """
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    check_int(trials, "trials")
+    check_int(seed, "seed", 0, MAX_SEED)
     import numpy as np
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -235,6 +240,7 @@ def check_optimizer_agreement(
 
 def run_all_checks(max_n: int, seed: int) -> list[CheckResult]:
     """The full verification battery, bounded by ``max_n`` per check."""
+    check_order(max_n)
     return [
         check_exact_identities(min(max_n, EXACT_MAX_N)),
         check_radii_distances(min(max_n, RADII_MAX_N)),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from simplexwidth import optimizer
 from simplexwidth.closed_form import SimplexKind, width_squared
 from simplexwidth.directions import is_optimal_direction
 from simplexwidth.geometry import (
@@ -147,6 +148,21 @@ def test_grid_requires_coarse_limits():
         grid_width_oracle(five_d, 100)
     with pytest.raises(DimensionError):
         grid_width_oracle(PointSet((Vector((1.0,)),)), 100, constrain_sum_zero=True)
+
+
+def test_grid_oracle_checks_its_arguments_before_the_first_chunk(monkeypatch):
+    calls = []
+    batch_widths = optimizer._batch_widths
+    monkeypatch.setattr(
+        optimizer, "_batch_widths", lambda d, p: calls.append(1) or batch_widths(d, p)
+    )
+    points = standard_simplex_vertices(2)
+    for resolution, flag in ((400, 1), (400, "no"), (16.5, False)):
+        with pytest.raises(ValueError):
+            grid_width_oracle(points, resolution, constrain_sum_zero=flag)
+    assert calls == []
+    grid_width_oracle(points, 400, constrain_sum_zero=True)
+    assert calls
 
 
 def test_grid_dimension_one_is_the_antipodes():

@@ -7,11 +7,26 @@ from fractions import Fraction
 import pytest
 
 import simplexwidth
-from simplexwidth.directions import OptimalFamily
+from simplexwidth.directions import (
+    OptimalFamily,
+    is_optimal_direction,
+    make_two_value_direction,
+)
 from simplexwidth.energy import EnergyReport
-from simplexwidth.geometry import Direction, PointSet, Vector
-from simplexwidth.optimizer import OptimizerConfig, WidthResult
-from simplexwidth.verification import CheckResult
+from simplexwidth.geometry import (
+    DimensionError,
+    Direction,
+    PointSet,
+    Vector,
+    standard_simplex_vertices,
+)
+from simplexwidth.optimizer import OptimizerConfig, WidthResult, grid_width_oracle
+from simplexwidth.verification import (
+    CheckResult,
+    derive_seed,
+    energy_fuzz,
+    run_all_checks,
+)
 
 
 def test_public_names_resolve_once():
@@ -130,3 +145,49 @@ def test_value_classes_are_immutable_values(cls, args, fields, text, change):
     assert pickle.loads(pickle.dumps(value)) == value
     assert copy.deepcopy(value) == value
     assert copy.copy(value) == value
+
+
+# (entry point, a call with one bad argument, the class the argument rule
+# gives it): a scalar of the wrong type or out of range raises ValueError,
+# DimensionError for an order; an argument that must be a value class,
+# TypeError
+BAD_ARGUMENTS = [
+    (run_all_checks, (0, 0), DimensionError),
+    (make_two_value_direction, (3, 2, [0, 1.5]), ValueError),
+    (make_two_value_direction, (3, 2, [0, True]), ValueError),
+    (make_two_value_direction, (3, 2, [0, "1"]), ValueError),
+    (derive_seed, (True, 1), ValueError),
+    (derive_seed, (2**64, 1), ValueError),
+    (derive_seed, (0, True), ValueError),
+    (energy_fuzz, (1, True), ValueError),
+    (OptimizerConfig, (64, 10_000, "1"), ValueError),
+    (OptimizerConfig, (64, 10_000, True), ValueError),
+    (grid_width_oracle, (standard_simplex_vertices(2), 16.5), ValueError),
+    (EnergyReport, (0.0, (1.0, -1.0), 2.0), TypeError),
+    (is_optimal_direction, (1, _UNIT.coords), TypeError),
+]
+
+
+@pytest.mark.parametrize(
+    "entry,args,error",
+    BAD_ARGUMENTS,
+    ids=[
+        "run_all_checks-max_n-0",
+        "low_set-index-float",
+        "low_set-index-bool",
+        "low_set-index-str",
+        "derive_seed-bool",
+        "derive_seed-2**64",
+        "derive_seed-key-bool",
+        "energy_fuzz-seed-bool",
+        "config-tol-str",
+        "config-tol-bool",
+        "grid-resolution-float",
+        "energy_report-centered-tuple",
+        "is_optimal_direction-tuple",
+    ],
+)
+def test_bad_arguments_raise_by_the_rule(entry, args, error):
+    with pytest.raises(error) as info:
+        entry(*args)
+    assert type(info.value) is error
