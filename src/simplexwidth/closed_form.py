@@ -58,12 +58,6 @@ def _width_squared_pair(n: int, kind: SimplexKind) -> tuple[int, int]:
     raise TypeError(f"unknown simplex kind: {kind!r}")
 
 
-def _radii_squared_pairs(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    # inradius^2 and circumradius^2 of the unit-edge simplex
-    *_, in_num, in_den, circ_num, circ_den = next(_squared_pairs(range(n, n + 1)))
-    return (in_num, in_den), (circ_num, circ_den)
-
-
 def width_squared(n: int, kind: SimplexKind) -> Fraction:
     """Exact squared width of the n-simplex of the given kind."""
     check_order(n)
@@ -106,13 +100,15 @@ def indistance_squared(n: int) -> Fraction:
 def inradius_squared(n: int) -> Fraction:
     """Squared inradius of the unit-edge simplex: 1/(2n(n+1))."""
     check_order(n)
-    return Fraction(*_radii_squared_pairs(n)[0])
+    *_, num, den, _, _ = next(_squared_pairs(range(n, n + 1)))
+    return Fraction(num, den)
 
 
 def circumradius_squared(n: int) -> Fraction:
     """Squared circumradius of the unit-edge simplex: n/(2(n+1))."""
     check_order(n)
-    return Fraction(*_radii_squared_pairs(n)[1])
+    *_, num, den = next(_squared_pairs(range(n, n + 1)))
+    return Fraction(num, den)
 
 
 def width_for_t(n: int, t: int) -> Fraction:

@@ -24,6 +24,7 @@ from .geometry import (
     Vector,
     check_int,
     check_order,
+    check_type,
 )
 
 # C(21, 10) ~= 352k directions keeps exhaustive sweeps tractable.
@@ -123,14 +124,12 @@ def is_optimal_direction(n: int, u: Direction) -> bool:
     means membership in the constructed family, with no claim that
     False implies a suboptimal direction.
     """
-    if not isinstance(u, Direction):
-        raise TypeError(f"u must be a Direction, got {type(u).__name__}")
-    if u.dim != n + 1:
+    family = optimal_family(n)
+    if check_type(u, Direction, "u").dim != n + 1:
         raise DimensionError(f"direction has dimension {u.dim}, expected {n + 1}")
     if abs(u.vec.coordinate_sum()) > SUM_ZERO_TOL:
         raise PreconditionError("direction must be sum-zero")
 
-    family = optimal_family(n)
     t, a, b = family.t, family.alpha, family.beta
     for coords in (u.coords, [-c for c in u.coords]):
         low = sum(1 for c in coords if abs(c - a) <= MEMBERSHIP_TOL)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .geometry import Frozen, PreconditionError, Vector, check_int
+from .geometry import Frozen, PreconditionError, Vector, check_int, check_type
 
 # Relative gap certifying a strict energy increase in floating point.
 ENERGY_REL_TOL = 1e-12
@@ -29,11 +29,9 @@ class EnergyReport(Frozen):
     energy: float
 
     def __init__(self, mean: float, centered: Vector, energy: float) -> None:
-        if not isinstance(centered, Vector):
-            raise TypeError(f"centered must be a Vector, got {type(centered).__name__}")
         # Each centered coordinate is rounded relative to the input's
         # magnitude, which is at most |mean| + max |centered|.
-        coords = centered.coords
+        coords = check_type(centered, Vector, "centered").coords
         scale = max(1.0, abs(mean) + max(map(abs, coords)))
         if abs(centered.coordinate_sum()) > 1e-12 * len(coords) * scale:
             raise ValueError("centered vector must have coordinate sum zero")
@@ -45,7 +43,7 @@ class EnergyReport(Frozen):
 
 def center_vector(v: Vector) -> EnergyReport:
     """Subtract the coordinate mean and report the resulting energy."""
-    mean = math.fsum(v.coords) / v.dim
+    mean = math.fsum(check_type(v, Vector, "v").coords) / v.dim
     centered = Vector(tuple([c - mean for c in v.coords]))
     return EnergyReport(mean=mean, centered=centered, energy=centered.norm_squared())
 
@@ -72,7 +70,7 @@ def energy_push(
     otherwise the verdict requires a relative float gap of
     ENERGY_REL_TOL to rule out rounding false positives.
     """
-    check_int(i, "coordinate index", 0, v.dim - 1, IndexError)
+    check_int(i, "coordinate index", 0, check_type(v, Vector, "v").dim - 1, IndexError)
     new_value = float(new_value)
     if not math.isfinite(new_value):
         raise ValueError("new coordinate value must be finite")

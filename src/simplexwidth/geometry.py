@@ -96,7 +96,7 @@ class Vector(Frozen):
         return len(self.coords)
 
     def dot(self, other: Vector) -> float:
-        if other.dim != self.dim:
+        if check_type(other, Vector, "other").dim != self.dim:
             raise DimensionError(
                 f"dimension mismatch: {self.dim} vs {other.dim}"
             )
@@ -135,10 +135,8 @@ class Direction(Frozen):
 
     def __post_init__(self) -> None:
         # A method of its own so that a profiler can wrap every check.
-        vec, sum_zero = self.vec, self.sum_zero
-        if not isinstance(vec, Vector):
-            raise TypeError(f"direction vec must be a Vector, got {type(vec).__name__}")
-        check_flag(sum_zero, "sum_zero")
+        vec = check_type(self.vec, Vector, "direction vec")
+        sum_zero = check_flag(self.sum_zero, "sum_zero")
         nsq = vec.norm_squared()
         if abs(nsq - 1.0) > UNIT_NORM_TOL:
             raise PreconditionError(
@@ -185,13 +183,8 @@ class PointSet(Frozen):
         points = tuple(points)
         if len(points) == 0:
             raise ValueError("a point set must be nonempty")
-        for p in points:
-            if not isinstance(p, Vector):
-                raise TypeError(
-                    f"point set members must be Vectors, got {type(p).__name__}"
-                )
-        d = points[0].dim
-        if any(p.dim != d for p in points):
+        dims = {check_type(p, Vector, "point set member").dim for p in points}
+        if len(dims) > 1:
             raise DimensionError("all points must share one dimension")
         self.__dict__["points"] = points
 
@@ -209,7 +202,14 @@ class PointSet(Frozen):
 # The package's argument rule: an integer, seed or flag of the wrong type
 # or out of range raises ValueError (DimensionError for orders and
 # dimensions); an index of the right type that is out of range raises
-# IndexError.
+# IndexError; an object argument of the wrong class raises TypeError.
+
+
+def check_type(value: object, cls: type, name: str):
+    """Return ``value`` if it is a ``cls``; raise TypeError otherwise."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def check_int(
@@ -272,7 +272,8 @@ def regular_simplex_vertices(n: int) -> PointSet:
 
 def projection_width(u: Direction, points: PointSet) -> float:
     """Spread of the point set's dot products with ``u``: max minus min."""
-    if u.dim != points.dim:
+    check_type(u, Direction, "u")
+    if u.dim != check_type(points, PointSet, "points").dim:
         raise DimensionError(
             f"dimension mismatch: direction {u.dim} vs points {points.dim}"
         )
@@ -282,6 +283,6 @@ def projection_width(u: Direction, points: PointSet) -> float:
 
 def distance(a: Vector, b: Vector) -> float:
     """Euclidean distance between two points."""
-    if a.dim != b.dim:
+    if check_type(a, Vector, "a").dim != check_type(b, Vector, "b").dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a.coords, b.coords)))

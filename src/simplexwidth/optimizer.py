@@ -34,6 +34,7 @@ from .geometry import (
     check_flag,
     check_int,
     check_order,
+    check_type,
 )
 
 # numpy is imported in the body of each function that uses it, so that
@@ -253,8 +254,8 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     """
     import numpy as np
 
-    dim = points.dim
-    sum_zero = cfg.constrain_sum_zero
+    dim = check_type(points, PointSet, "points").dim
+    sum_zero = check_type(cfg, OptimizerConfig, "cfg").constrain_sum_zero
     check_int(dim - sum_zero, "search dimension", 1, error=DimensionError)
     pts = _points_matrix(points)
     scale = _identity_scale(pts)
@@ -351,8 +352,9 @@ def grid_directions(
     constrain_sum_zero: bool = False,
     chunk_rows: int = 200_000,
 ) -> Iterator[np.ndarray]:
-    """Uniform angular grid of the unit sphere of the search subspace,
-    yielded as chunks of direction rows in the ambient dimension.
+    """Uniform angular grid of the unit sphere of the search subspace, as
+    an iterator of chunks of direction rows in the ambient dimension. The
+    arguments are checked at the call, before any chunk is made.
 
     Supports search dimensions 1 to 3 (a pair of antipodes, a circle
     with ``resolution`` angles, or a sphere with ``resolution``
@@ -361,41 +363,42 @@ def grid_directions(
     import numpy as np
 
     check_int(resolution, "grid resolution", 8)
+    check_int(chunk_rows, "chunk_rows")
     search_dim = dim - check_flag(constrain_sum_zero, "constrain_sum_zero")
     check_int(search_dim, "grid search dimension", 1, 3, DimensionError)
     basis = _constraint_basis(dim, constrain_sum_zero)
 
-    if search_dim == 1:
-        yield np.vstack([basis[0], -basis[0]])
-        return
+    def chunks() -> Iterator[np.ndarray]:
+        if search_dim == 1:
+            yield np.vstack([basis[0], -basis[0]])
+        elif search_dim == 2:
+            theta = 2.0 * np.pi * np.arange(resolution) / resolution
+            for start in range(0, resolution, chunk_rows):
+                block = theta[start : start + chunk_rows]
+                yield np.outer(np.cos(block), basis[0]) + np.outer(
+                    np.sin(block), basis[1]
+                )
+        else:
+            # Two-sphere: polar angle 0..pi inclusive, azimuth 0..2pi exclusive.
+            polar = np.pi * np.arange(resolution + 1) / resolution
+            azimuth = 2.0 * np.pi * np.arange(resolution) / resolution
+            cos_az, sin_az = np.cos(azimuth), np.sin(azimuth)
+            polar_per_chunk = max(1, chunk_rows // resolution)
+            for start in range(0, resolution + 1, polar_per_chunk):
+                block = polar[start : start + polar_per_chunk]
+                sin_p, cos_p = np.sin(block), np.cos(block)
+                # (polar block, azimuth, ambient dim)
+                chunk = (
+                    sin_p[:, None, None]
+                    * (
+                        cos_az[None, :, None] * basis[0][None, None, :]
+                        + sin_az[None, :, None] * basis[1][None, None, :]
+                    )
+                    + cos_p[:, None, None] * basis[2][None, None, :]
+                )
+                yield chunk.reshape(-1, dim)
 
-    if search_dim == 2:
-        theta = 2.0 * np.pi * np.arange(resolution) / resolution
-        for start in range(0, resolution, chunk_rows):
-            block = theta[start : start + chunk_rows]
-            yield np.outer(np.cos(block), basis[0]) + np.outer(
-                np.sin(block), basis[1]
-            )
-        return
-
-    # Two-sphere: polar angle 0..pi inclusive, azimuth 0..2pi exclusive.
-    polar = np.pi * np.arange(resolution + 1) / resolution
-    azimuth = 2.0 * np.pi * np.arange(resolution) / resolution
-    cos_az, sin_az = np.cos(azimuth), np.sin(azimuth)
-    polar_per_chunk = max(1, chunk_rows // resolution)
-    for start in range(0, resolution + 1, polar_per_chunk):
-        block = polar[start : start + polar_per_chunk]
-        sin_p, cos_p = np.sin(block), np.cos(block)
-        # (polar block, azimuth, ambient dim)
-        chunk = (
-            sin_p[:, None, None]
-            * (
-                cos_az[None, :, None] * basis[0][None, None, :]
-                + sin_az[None, :, None] * basis[1][None, None, :]
-            )
-            + cos_p[:, None, None] * basis[2][None, None, :]
-        )
-        yield chunk.reshape(-1, dim)
+    return chunks()
 
 
 def grid_width_oracle(
@@ -409,7 +412,7 @@ def grid_width_oracle(
     """
     import numpy as np
 
-    pts = _points_matrix(points)
+    pts = _points_matrix(check_type(points, PointSet, "points"))
     best_w = math.inf
     best_u: np.ndarray | None = None
     evaluated = 0
@@ -439,8 +442,7 @@ def two_value_enumeration_width(n: int) -> WidthResult:
     (even n) resolve to the smaller t.
     """
     check_order(n)
-    best_t = min(range(1, n + 1), key=lambda t: (width_for_t(n, t), t))
-    w_sq = width_for_t(n, best_t)
+    w_sq, best_t = min((width_for_t(n, t), t) for t in range(1, n + 1))
     return WidthResult(
         width=math.sqrt(w_sq),
         direction=make_two_value_direction(n, best_t, range(best_t)),

@@ -58,6 +58,12 @@ class CheckResult(Frozen):
         self.__dict__.update(name=name, passed=passed, detail=detail)
 
 
+def _bound(max_n: int, cap: int) -> int:
+    """``max_n`` checked as a simplex order, capped at a check's own bound."""
+    check_order(max_n)
+    return min(max_n, cap)
+
+
 def derive_seed(seed: int, *key: int) -> int:
     """Child seed from the run seed and an integer key path."""
     check_int(seed, "seed", 0, MAX_SEED)
@@ -77,6 +83,7 @@ def check_exact_identities(max_n: int = EXACT_MAX_N) -> CheckResult:
     the inball/width/circumball sandwich.
     """
     name = "exact-rational-identities"
+    max_n = _bound(max_n, EXACT_MAX_N)
     previous_regular: Fraction | None = None
     for n in range(1, max_n + 1):
         std = width_squared(n, SimplexKind.STANDARD)
@@ -99,12 +106,11 @@ def check_exact_identities(max_n: int = EXACT_MAX_N) -> CheckResult:
                 return CheckResult(
                     name, False, f"two-value sanity identity fails at n={n}, t={t}"
                 )
-            if width_for_t(n, t) != width_for_t(n, n + 1 - t):
-                return CheckResult(
-                    name, False, f"t symmetry fails at n={n}, t={t}"
-                )
-        minimum = min(width_for_t(n, t) for t in range(1, n + 1))
-        argmin = {t for t in range(1, n + 1) if width_for_t(n, t) == minimum}
+        widths = [width_for_t(n, t) for t in range(1, n + 1)]
+        if widths != widths[::-1]:
+            return CheckResult(name, False, f"t symmetry fails at n={n}")
+        minimum = min(widths)
+        argmin = {t for t, w in enumerate(widths, 1) if w == minimum}
         if argmin != {(n + 1) // 2, (n + 2) // 2} or minimum != std:
             return CheckResult(name, False, f"t-argmin characterization fails at n={n}")
         if previous_regular is not None and not reg < previous_regular:
@@ -119,6 +125,7 @@ def check_radii_distances(max_n: int = RADII_MAX_N) -> CheckResult:
     """Center-to-vertex and center-to-facet-centroid distances against
     the closed forms, within 1e-14 on the squared values."""
     name = "radii-distances"
+    max_n = _bound(max_n, RADII_MAX_N)
     for n in range(1, max_n + 1):
         c = center(n)
         vertices = standard_simplex_vertices(n)
@@ -139,6 +146,7 @@ def check_radii_distances(max_n: int = RADII_MAX_N) -> CheckResult:
 def check_enumeration_oracle(max_n: int = EXACT_MAX_N) -> CheckResult:
     """Exact two-value enumeration reproduces the closed-form width."""
     name = "enumeration-oracle"
+    max_n = _bound(max_n, EXACT_MAX_N)
     for n in range(1, max_n + 1):
         result = two_value_enumeration_width(n)
         if result.width_squared_exact != width_squared(n, SimplexKind.STANDARD):
@@ -146,15 +154,13 @@ def check_enumeration_oracle(max_n: int = EXACT_MAX_N) -> CheckResult:
     return CheckResult(name, True, f"n=1..{max_n}: enumeration exact")
 
 
-def check_direction_families(
-    odd_max_n: int = ODD_FAMILY_MAX_N, even_max_n: int = EVEN_FAMILY_MAX_N
-) -> CheckResult:
+def check_direction_families(max_n: int = ODD_FAMILY_MAX_N) -> CheckResult:
     """Every enumerated family member achieves the closed-form width on
     the standard simplex within 1e-12, with the right family size."""
     name = "direction-families"
-    for n in range(1, max(odd_max_n, even_max_n) + 1):
-        if n % 2 == 1 and n > odd_max_n:
-            continue
+    odd_max_n = _bound(max_n, ODD_FAMILY_MAX_N)
+    even_max_n = min(odd_max_n, EVEN_FAMILY_MAX_N)
+    for n in range(1, odd_max_n + 1):
         if n % 2 == 0 and n > even_max_n:
             continue
         family = enumerate_optimal_directions(n)
@@ -223,6 +229,7 @@ def check_optimizer_agreement(
     standard simplex within 1e-6 relative, never undershooting it by
     more than 1e-9, and lands in the optimal family."""
     name = "optimizer-agreement"
+    max_n = _bound(max_n, OPTIMIZER_MAX_N)
     for n in range(1, max_n + 1):
         cfg = OptimizerConfig(seed=derive_seed(seed, n), constrain_sum_zero=True)
         result = minimize_width(standard_simplex_vertices(n), cfg)
@@ -239,15 +246,12 @@ def check_optimizer_agreement(
 
 
 def run_all_checks(max_n: int, seed: int) -> list[CheckResult]:
-    """The full verification battery, bounded by ``max_n`` per check."""
-    check_order(max_n)
+    """The full verification battery; each check caps ``max_n`` itself."""
     return [
-        check_exact_identities(min(max_n, EXACT_MAX_N)),
-        check_radii_distances(min(max_n, RADII_MAX_N)),
-        check_enumeration_oracle(min(max_n, EXACT_MAX_N)),
-        check_direction_families(
-            min(max_n, ODD_FAMILY_MAX_N), min(max_n, EVEN_FAMILY_MAX_N)
-        ),
+        check_exact_identities(max_n),
+        check_radii_distances(max_n),
+        check_enumeration_oracle(max_n),
+        check_direction_families(max_n),
         check_energy_fuzz(seed),
-        check_optimizer_agreement(min(max_n, OPTIMIZER_MAX_N), seed),
+        check_optimizer_agreement(max_n, seed),
     ]

@@ -11,7 +11,7 @@ from simplexwidth.cli import TABLE_MAX_N
 from simplexwidth.closed_form import (
     MAX_ORDER,
     SimplexKind,
-    _radii_squared_pairs,
+    _squared_pairs,
     _width_squared_pair,
     alpha_beta,
     alpha_beta_squared,
@@ -153,6 +153,6 @@ def test_integer_pairs_are_the_public_fractions(n):
     for kind in SimplexKind:
         _assert_pair_is(_width_squared_pair(n, kind), width_squared(n, kind))
         assert width(n, kind) == math.sqrt(width_squared(n, kind))
-    in_pair, circ_pair = _radii_squared_pairs(n)
-    _assert_pair_is(in_pair, inradius_squared(n))
-    _assert_pair_is(circ_pair, circumradius_squared(n))
+    *_, in_num, in_den, circ_num, circ_den = next(_squared_pairs(range(n, n + 1)))
+    _assert_pair_is((in_num, in_den), inradius_squared(n))
+    _assert_pair_is((circ_num, circ_den), circumradius_squared(n))

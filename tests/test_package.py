@@ -12,17 +12,29 @@ from simplexwidth.directions import (
     is_optimal_direction,
     make_two_value_direction,
 )
-from simplexwidth.energy import EnergyReport
+from simplexwidth.energy import EnergyReport, center_vector, energy_push
 from simplexwidth.geometry import (
     DimensionError,
     Direction,
     PointSet,
     Vector,
+    distance,
+    projection_width,
     standard_simplex_vertices,
 )
-from simplexwidth.optimizer import OptimizerConfig, WidthResult, grid_width_oracle
+from simplexwidth.optimizer import (
+    OptimizerConfig,
+    WidthResult,
+    grid_directions,
+    grid_width_oracle,
+    minimize_width,
+)
 from simplexwidth.verification import (
     CheckResult,
+    check_direction_families,
+    check_exact_identities,
+    check_optimizer_agreement,
+    check_radii_distances,
     derive_seed,
     energy_fuzz,
     run_all_checks,
@@ -165,6 +177,23 @@ BAD_ARGUMENTS = [
     (grid_width_oracle, (standard_simplex_vertices(2), 16.5), ValueError),
     (EnergyReport, (0.0, (1.0, -1.0), 2.0), TypeError),
     (is_optimal_direction, (1, _UNIT.coords), TypeError),
+    (minimize_width, (((1.0, 0.0),), OptimizerConfig()), TypeError),
+    (minimize_width, (standard_simplex_vertices(2), None), TypeError),
+    (energy_push, ((1.0, 2.0), 0, 3.0), TypeError),
+    (center_vector, ((1.0, 2.0),), TypeError),
+    (projection_width, ((1.0, 0.0), standard_simplex_vertices(1)), TypeError),
+    (projection_width, (Direction(_UNIT), ((0.0, 0.0),)), TypeError),
+    (distance, ((1.0,), Vector((1.0,))), TypeError),
+    (Vector((1.0,)).dot, ((1.0,),), TypeError),
+    (grid_width_oracle, (((0.0, 0.0), (1.0, 0.0)), 16), TypeError),
+    (check_exact_identities, (0,), DimensionError),
+    (check_radii_distances, (-3,), DimensionError),
+    (check_direction_families, (0,), DimensionError),
+    (check_optimizer_agreement, (0, 0), DimensionError),
+    # the call itself raises: no next() on the returned iterator
+    (grid_directions, (2, 7), ValueError),
+    (grid_directions, (2, 16, False, -1), ValueError),
+    (is_optimal_direction, (0, Direction(Vector((1.0,)))), DimensionError),
 ]
 
 
@@ -185,6 +214,22 @@ BAD_ARGUMENTS = [
         "grid-resolution-float",
         "energy_report-centered-tuple",
         "is_optimal_direction-tuple",
+        "minimize_width-points-tuple",
+        "minimize_width-cfg-none",
+        "energy_push-tuple",
+        "center_vector-tuple",
+        "projection_width-u-tuple",
+        "projection_width-points-tuple",
+        "distance-tuple",
+        "vector-dot-tuple",
+        "grid_width_oracle-points-tuple",
+        "check_exact_identities-max_n-0",
+        "check_radii_distances-max_n-negative",
+        "check_direction_families-max_n-0",
+        "check_optimizer_agreement-max_n-0",
+        "grid_directions-resolution-7-at-call",
+        "grid_directions-chunk_rows-negative",
+        "is_optimal_direction-order-0",
     ],
 )
 def test_bad_arguments_raise_by_the_rule(entry, args, error):
