@@ -14,7 +14,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .geometry import Frozen, PreconditionError, Vector, check_int, check_type
+from .geometry import (
+    DimensionError,
+    Frozen,
+    PreconditionError,
+    Vector,
+    check_int,
+    check_type,
+)
 
 # Relative gap certifying a strict energy increase in floating point.
 ENERGY_REL_TOL = 1e-12
@@ -60,8 +67,9 @@ def energy_push(
     """Replace coordinate i with a value strictly farther from the mean
     and report both energies plus the verdict "energy increased".
 
-    Hypothesis, checked before doing anything: either
-    new_value > v_i >= mean(v), or new_value < v_i < mean(v).
+    Hypothesis, checked before doing anything: v has d >= 2 coordinates
+    (one coordinate always has energy 0; d = 1 raises DimensionError),
+    and either new_value > v_i >= mean(v), or new_value < v_i < mean(v).
     Violations raise PreconditionError; under the hypothesis the verdict
     is always True.
 
@@ -70,7 +78,9 @@ def energy_push(
     otherwise the verdict requires a relative float gap of
     ENERGY_REL_TOL to rule out rounding false positives.
     """
-    check_int(i, "coordinate index", 0, check_type(v, Vector, "v").dim - 1, IndexError)
+    dim = check_type(v, Vector, "v").dim
+    check_int(dim, "vector dimension", 2, error=DimensionError)
+    check_int(i, "coordinate index", 0, dim - 1, IndexError)
     new_value = float(new_value)
     if not math.isfinite(new_value):
         raise ValueError("new coordinate value must be finite")

@@ -105,14 +105,8 @@ class Vector(Frozen):
     def norm_squared(self) -> float:
         return math.fsum(c * c for c in self.coords)
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
     def coordinate_sum(self) -> float:
         return math.fsum(self.coords)
-
-    def scaled(self, s: float) -> Vector:
-        return Vector(tuple([s * c for c in self.coords]))
 
 
 class Direction(Frozen):
@@ -154,20 +148,6 @@ class Direction(Frozen):
     @property
     def coords(self) -> tuple[float, ...]:
         return self.vec.coords
-
-    def negated(self) -> Direction:
-        return Direction(self.vec.scaled(-1.0), self.sum_zero)
-
-    @classmethod
-    def normalized(
-        cls, coords: tuple[float, ...] | list[float], sum_zero: bool = False
-    ) -> Direction:
-        """Scale ``coords`` to unit length and wrap it as a Direction."""
-        v = Vector(tuple(coords))
-        n = v.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(v.scaled(1.0 / n), sum_zero)
 
 
 class PointSet(Frozen):
@@ -242,6 +222,17 @@ def check_order(n: int, cap: int = MAX_ORDER) -> None:
     check_int(n, "simplex order", 1, cap, DimensionError)
 
 
+def _scaled_identity_rows(n: int, c: float) -> PointSet:
+    """The rows of c times the identity of order n+1, off-diagonals +0.0."""
+    check_order(n, VERTEX_MAX_ORDER)
+    points = []
+    for i in range(n + 1):
+        coords = [0.0] * (n + 1)
+        coords[i] = c
+        points.append(Vector(tuple(coords)))
+    return PointSet(tuple(points))
+
+
 def standard_simplex_vertices(n: int) -> PointSet:
     """Vertices of the basis-vector n-simplex: e_1, ..., e_{n+1} in R^{n+1}.
 
@@ -249,13 +240,7 @@ def standard_simplex_vertices(n: int) -> PointSet:
     hyperplane where the coordinates sum to 1. Orders above
     VERTEX_MAX_ORDER raise DimensionError before anything is built.
     """
-    check_order(n, VERTEX_MAX_ORDER)
-    points = []
-    for i in range(n + 1):
-        coords = [0.0] * (n + 1)
-        coords[i] = 1.0
-        points.append(Vector(tuple(coords)))
-    return PointSet(tuple(points))
+    return _scaled_identity_rows(n, 1.0)
 
 
 def regular_simplex_vertices(n: int) -> PointSet:
@@ -264,10 +249,7 @@ def regular_simplex_vertices(n: int) -> PointSet:
     The basis-vector simplex scaled by 1/sqrt(2); pairwise distances 1.
     Orders above VERTEX_MAX_ORDER raise DimensionError.
     """
-    check_order(n, VERTEX_MAX_ORDER)
-    s = 1.0 / math.sqrt(2.0)
-    base = standard_simplex_vertices(n)
-    return PointSet(tuple(p.scaled(s) for p in base))
+    return _scaled_identity_rows(n, 1.0 / math.sqrt(2.0))
 
 
 def projection_width(u: Direction, points: PointSet) -> float:

@@ -7,8 +7,8 @@ Three independent routes to the width of a point set:
   direction. Returns an upper bound on the true width.
 * `grid_width_oracle`: brute-force sweep of a uniform angular grid of
   the (at most 3-dimensional) search space. Slow but assumption-free.
-* `two_value_enumeration_width`: exact rational scan over the
-  two-value family, the structural optimum for simplices.
+* `two_value_enumeration_width`: exact rational scan of the squared
+  width over the two-value family, the structural optimum for simplices.
 
 The objective f(u) = max_p <u, p> - min_p <u, p> is a maximum of linear
 functions minus a minimum of linear functions, so p_max - p_min is a
@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
 from .closed_form import width_for_t
-from .directions import make_two_value_direction
 from .geometry import (
     MAX_SEED,
     DimensionError,
@@ -49,6 +48,10 @@ PATIENCE = 5
 
 # The subgradient step at iteration k is STEP_INIT / sqrt(k).
 STEP_INIT = 1.0
+
+# Rows per chunk of `grid_directions`; a sphere chunk holds whole polar
+# rows, at least one.
+GRID_CHUNK_ROWS = 200_000
 
 
 class OptimizerConfig(Frozen):
@@ -95,35 +98,20 @@ class WidthResult(Frozen):
     """Achieved width, the direction achieving it, and run metadata.
 
     ``iterations`` is the count actually run: the subgradient iterations
-    (at most ``max_iters``), the grid directions evaluated, or the orders
-    scanned by the enumeration.
-
-    ``width_squared_exact`` is populated only by the exact enumeration
-    route, where the squared width is a rational computed without any
-    floating point.
+    (at most ``max_iters``) or the grid directions evaluated.
     """
 
-    _fields = ("width", "direction", "iterations", "converged", "width_squared_exact")
+    _fields = ("width", "direction", "iterations", "converged")
     width: float
     direction: Direction
     iterations: int
     converged: bool
-    width_squared_exact: Fraction | None
 
     def __init__(
-        self,
-        width: float,
-        direction: Direction,
-        iterations: int,
-        converged: bool,
-        width_squared_exact: Fraction | None = None,
+        self, width: float, direction: Direction, iterations: int, converged: bool
     ) -> None:
         self.__dict__.update(
-            width=width,
-            direction=direction,
-            iterations=iterations,
-            converged=converged,
-            width_squared_exact=width_squared_exact,
+            width=width, direction=direction, iterations=iterations, converged=converged
         )
 
 
@@ -347,14 +335,12 @@ def _constraint_basis(dim: int, constrain_sum_zero: bool) -> np.ndarray:
 
 
 def grid_directions(
-    dim: int,
-    resolution: int,
-    constrain_sum_zero: bool = False,
-    chunk_rows: int = 200_000,
+    dim: int, resolution: int, constrain_sum_zero: bool = False
 ) -> Iterator[np.ndarray]:
     """Uniform angular grid of the unit sphere of the search subspace, as
-    an iterator of chunks of direction rows in the ambient dimension. The
-    arguments are checked at the call, before any chunk is made.
+    an iterator of chunks of about GRID_CHUNK_ROWS direction rows in the
+    ambient dimension. The arguments are checked at the call, before any
+    chunk is made.
 
     Supports search dimensions 1 to 3 (a pair of antipodes, a circle
     with ``resolution`` angles, or a sphere with ``resolution``
@@ -362,8 +348,8 @@ def grid_directions(
     """
     import numpy as np
 
+    check_int(dim, "dimension", 1, error=DimensionError)
     check_int(resolution, "grid resolution", 8)
-    check_int(chunk_rows, "chunk_rows")
     search_dim = dim - check_flag(constrain_sum_zero, "constrain_sum_zero")
     check_int(search_dim, "grid search dimension", 1, 3, DimensionError)
     basis = _constraint_basis(dim, constrain_sum_zero)
@@ -373,8 +359,8 @@ def grid_directions(
             yield np.vstack([basis[0], -basis[0]])
         elif search_dim == 2:
             theta = 2.0 * np.pi * np.arange(resolution) / resolution
-            for start in range(0, resolution, chunk_rows):
-                block = theta[start : start + chunk_rows]
+            for start in range(0, resolution, GRID_CHUNK_ROWS):
+                block = theta[start : start + GRID_CHUNK_ROWS]
                 yield np.outer(np.cos(block), basis[0]) + np.outer(
                     np.sin(block), basis[1]
                 )
@@ -383,7 +369,7 @@ def grid_directions(
             polar = np.pi * np.arange(resolution + 1) / resolution
             azimuth = 2.0 * np.pi * np.arange(resolution) / resolution
             cos_az, sin_az = np.cos(azimuth), np.sin(azimuth)
-            polar_per_chunk = max(1, chunk_rows // resolution)
+            polar_per_chunk = max(1, GRID_CHUNK_ROWS // resolution)
             for start in range(0, resolution + 1, polar_per_chunk):
                 block = polar[start : start + polar_per_chunk]
                 sin_p, cos_p = np.sin(block), np.cos(block)
@@ -433,20 +419,11 @@ def grid_width_oracle(
     )
 
 
-def two_value_enumeration_width(n: int) -> WidthResult:
-    """Exact width of the standard n-simplex by scanning the two-value
-    family over the low-coordinate count t.
-
-    Every candidate width (n+1)/(t(n+1-t)) is an exact rational, so the
-    minimum is exact; the witness puts the low coordinates first. Ties
-    (even n) resolve to the smaller t.
+def two_value_enumeration_width(n: int) -> Fraction:
+    """Exact squared width of the standard n-simplex: the least
+    `width_for_t(n, t)` over the low-coordinate counts t = 1..n of the
+    two-value family. Despite the name, the result is squared, like
+    `width_for_t`'s.
     """
     check_order(n)
-    w_sq, best_t = min((width_for_t(n, t), t) for t in range(1, n + 1))
-    return WidthResult(
-        width=math.sqrt(w_sq),
-        direction=make_two_value_direction(n, best_t, range(best_t)),
-        iterations=n,
-        converged=True,
-        width_squared_exact=w_sq,
-    )
+    return min(width_for_t(n, t) for t in range(1, n + 1))

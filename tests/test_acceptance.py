@@ -55,7 +55,7 @@ def test_01_exact_width_identity_and_enumeration():
             assert std == Fraction(4, n + 1)
         else:
             assert std == Fraction(4 * (n + 1), n * (n + 2))
-        assert two_value_enumeration_width(n).width_squared_exact == std
+        assert two_value_enumeration_width(n) == std
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     report(1, "exact width identity, n = 1..64, enumeration agrees")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from simplexwidth import cli, closed_form
+from simplexwidth import cli, closed_form, verification
 from simplexwidth.closed_form import (
     SimplexKind,
     circumradius_squared,
@@ -432,6 +433,21 @@ def test_verify_golden(capsys):
     assert out == EXPECTED_VERIFY_64_SEED_7
 
 
+def test_verify_reports_failed_checks_with_exit_1(monkeypatch, capsys):
+    # a wrong circumcenter distance, caught by two checks
+    monkeypatch.setattr(
+        verification, "circumdistance_squared", lambda n: Fraction(n, n + 2)
+    )
+    code, out, err = run(capsys, "verify", "--max-n", "2")
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert "FAIL exact-rational-identities: circumradius halving fails at n=1" in lines
+    assert "FAIL radii-distances: vertex distance off at n=1, j=0" in lines
+    assert sum(line.startswith("PASS ") for line in lines) == 4
+    assert lines[-1] == "2 of 6 checks failed"
+
+
 def test_verify_range_validation(capsys):
     code, _, _ = run(capsys, "verify", "--max-n", "0")
     assert code == 2
@@ -546,3 +562,42 @@ def test_cli_start_imports_neither_csv_nor_json():
     assert proc.returncode == 0, proc.stderr
     # the tracer of the benchmark finds its hooks in the numeric modules
     assert proc.stdout.strip() == repr(numeric)
+
+
+def _readme_examples():
+    """(argv, expected stdout) of every `$ simplexwidth ...` line in the
+    README's code blocks: the output is the lines after it, up to a blank
+    line, the next command or the end of the block."""
+    examples = []
+    in_block = False
+    current = None
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text().splitlines() + [""]:
+        ends = line.startswith("```") or not line or line.startswith("$ ")
+        if current is not None and ends:
+            examples.append((current[0], "".join(current[1])))
+            current = None
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("$ simplexwidth "):
+            current = (shlex.split(line)[2:], [])
+        elif current is not None:
+            current[1].append(line + "\n")
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_the_readme_shows_command_examples():
+    commands = {argv[0] for argv, _ in README_EXAMPLES}
+    assert {"table", "width", "optimize", "directions", "verify"} <= commands
+
+
+@pytest.mark.parametrize(
+    "argv,expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]
+)
+def test_readme_examples_print_what_the_readme_shows(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected

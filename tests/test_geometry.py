@@ -54,6 +54,10 @@ def bits(coords):
     return [c.hex() for c in coords]
 
 
+def negated(d):
+    return Direction(Vector([-c for c in d.coords]), d.sum_zero)
+
+
 numbers = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     st.integers(min_value=-(2**60), max_value=2**60),
@@ -69,24 +73,17 @@ SOURCES = {
 }
 
 
-@given(
-    st.lists(numbers, min_size=1, max_size=50),
-    st.sampled_from(sorted(SOURCES)),
-    st.one_of(st.floats(min_value=-1e6, max_value=1e6), st.just(-0.0)),
-)
-def test_sized_builds_match_the_generator_spelling_bit_for_bit(values, source, s):
+@given(st.lists(numbers, min_size=1, max_size=50), st.sampled_from(sorted(SOURCES)))
+def test_sized_builds_match_the_generator_spelling_bit_for_bit(values, source):
     make = SOURCES[source]
     v = Vector(make(values))
-    # the spellings used before coordinate tuples were built from lists
+    # the spelling used before coordinate tuples were built from lists
     assert bits(v.coords) == bits(tuple(map(float, make(values))))
-    scaled = tuple(map(float, tuple(s * c for c in v.coords)))
-    assert bits(v.scaled(s).coords) == bits(scaled)
 
 
 def test_vector_dot_and_norm():
     v = Vector((3.0, 4.0))
     assert v.norm_squared() == 25.0
-    assert v.norm() == 5.0
     assert v.dot(Vector((1.0, 0.0))) == 3.0
     with pytest.raises(DimensionError):
         v.dot(Vector((1.0,)))
@@ -106,15 +103,6 @@ def test_direction_sum_zero_flag_is_checked():
     s = 1.0 / math.sqrt(2.0)
     d = Direction(Vector((s, -s)), sum_zero=True)
     assert d.sum_zero
-
-
-def test_direction_normalized_and_negated():
-    d = Direction.normalized((3.0, 4.0))
-    assert abs(d.vec.norm_squared() - 1.0) <= 1e-12
-    neg = d.negated()
-    assert neg.coords == tuple(-c for c in d.coords)
-    with pytest.raises(ValueError):
-        Direction.normalized((0.0, 0.0))
 
 
 def test_pointset_validation():
@@ -142,7 +130,6 @@ _BAD_FLAG = (ValueError, "sum_zero")
         (lambda: Direction([_HALF, -_HALF], sum_zero=True), *_WRONG_TYPE),
         (lambda: Direction(Vector((_HALF, -_HALF)), sum_zero="no"), *_BAD_FLAG),
         (lambda: Direction(Vector((1.0, 0.0)), sum_zero=0), *_BAD_FLAG),
-        (lambda: Direction.normalized((1.0, -1.0), sum_zero=1), *_BAD_FLAG),
         (lambda: PointSet(((1.0,),)), *_WRONG_TYPE),
         (lambda: PointSet("ab"), *_WRONG_TYPE),
         (lambda: PointSet((Vector((1.0,)), (2.0,))), *_WRONG_TYPE),
@@ -152,7 +139,6 @@ _BAD_FLAG = (ValueError, "sum_zero")
         "direction-of-list",
         "sum-zero-str",
         "sum-zero-int",
-        "normalized-sum-zero-int",
         "points-of-tuples",
         "points-of-str",
         "one-point-a-tuple",
@@ -221,16 +207,16 @@ def test_projection_width_unit_square():
         tuple(Vector(c) for c in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     )
     assert projection_width(Direction(Vector((1.0, 0.0))), square) == 1.0
-    diag = Direction.normalized((1.0, 1.0))
+    diag = Direction(Vector((_HALF, _HALF)))
     assert abs(projection_width(diag, square) - math.sqrt(2.0)) <= 1e-12
 
 
 def test_projection_width_scales_with_the_point_set():
-    u = Direction.normalized((1.0, -1.0, 0.0))
+    u = Direction(Vector((_HALF, -_HALF, 0.0)))
     std = standard_simplex_vertices(2)
     assert projection_width(u, std) == pytest.approx(math.sqrt(2.0), abs=1e-12)
     # shrinking every point shrinks every projection width by the same factor
-    shrunk = PointSet(tuple(p.scaled(0.5) for p in std))
+    shrunk = PointSet(tuple(Vector([0.5 * c for c in p.coords]) for p in std))
     assert projection_width(u, shrunk) == pytest.approx(
         0.5 * math.sqrt(2.0), abs=1e-12
     )
@@ -246,9 +232,10 @@ def test_projection_width_negation_and_shift_invariance(dir_coords, shift_coords
     dim = min(len(dir_coords), len(shift_coords))
     dir_coords, shift_coords = dir_coords[:dim], shift_coords[:dim]
     v = Vector(tuple(dir_coords))
-    if v.norm() < 1e-6:
+    if v.norm_squared() < 1e-12:
         return
-    u = Direction.normalized(dir_coords)
+    scale = 1.0 / math.sqrt(v.norm_squared())
+    u = Direction(Vector([scale * c for c in v.coords]))
     pts = PointSet(
         tuple(
             Vector(tuple(float(i == k) for k in range(dim))) for i in range(dim)
@@ -256,7 +243,7 @@ def test_projection_width_negation_and_shift_invariance(dir_coords, shift_coords
     )
     w = projection_width(u, pts)
     assert w >= 0.0
-    assert projection_width(u.negated(), pts) == pytest.approx(w, abs=1e-12)
+    assert projection_width(negated(u), pts) == pytest.approx(w, abs=1e-12)
     shifted = PointSet(
         tuple(
             Vector(tuple(c + s for c, s in zip(p.coords, shift_coords)))

@@ -178,10 +178,12 @@ def test_grid_circle_counts_and_square_width():
     assert abs(result.width - 1.0) <= 1e-3
 
 
-def test_grid_chunking_is_seamless():
-    chunks = list(grid_directions(2, 1000, chunk_rows=128))
-    assert sum(len(c) for c in chunks) == 1000
+def test_grid_chunking_is_seamless(monkeypatch):
+    monkeypatch.setattr(optimizer, "GRID_CHUNK_ROWS", 128)
+    chunks = list(grid_directions(2, 1000))
+    assert len(chunks) == 8 and sum(len(c) for c in chunks) == 1000
     stacked = np.vstack(chunks)
+    monkeypatch.undo()
     whole = np.vstack(list(grid_directions(2, 1000)))
     assert np.array_equal(stacked, whole)
 
@@ -202,11 +204,9 @@ def test_grid_matches_closed_form_on_triangle():
 
 def test_enumeration_is_exact():
     for n in range(1, 33):
-        result = two_value_enumeration_width(n)
-        assert result.width_squared_exact == width_squared(n, SimplexKind.STANDARD)
-        assert result.width == math.sqrt(result.width_squared_exact)
-        assert isinstance(result.width_squared_exact, Fraction)
-        assert is_optimal_direction(n, result.direction)
+        w_sq = two_value_enumeration_width(n)
+        assert isinstance(w_sq, Fraction)
+        assert w_sq == width_squared(n, SimplexKind.STANDARD)
 
 
 def test_enumeration_validates_order():

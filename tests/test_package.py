@@ -2,7 +2,6 @@
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -110,11 +109,10 @@ VALUE_CASES = [
             "direction": Direction(_UNIT),
             "iterations": 3,
             "converged": True,
-            "width_squared_exact": None,
         },
         "WidthResult(width=0.5, direction=Direction(vec=Vector(coords=(0.6, 0.8)), "
-        "sum_zero=False), iterations=3, converged=True, width_squared_exact=None)",
-        ("width_squared_exact", Fraction(1, 4)),
+        "sum_zero=False), iterations=3, converged=True)",
+        ("converged", False),
     ),
     (
         CheckResult,
@@ -192,8 +190,10 @@ BAD_ARGUMENTS = [
     (check_optimizer_agreement, (0, 0), DimensionError),
     # the call itself raises: no next() on the returned iterator
     (grid_directions, (2, 7), ValueError),
-    (grid_directions, (2, 16, False, -1), ValueError),
+    (grid_directions, (True, 16), DimensionError),
+    (grid_directions, ("2", 16), DimensionError),
     (is_optimal_direction, (0, Direction(Vector((1.0,)))), DimensionError),
+    (energy_push, (Vector((1.0,)), 0, 2.0), DimensionError),
 ]
 
 
@@ -228,8 +228,10 @@ BAD_ARGUMENTS = [
         "check_direction_families-max_n-0",
         "check_optimizer_agreement-max_n-0",
         "grid_directions-resolution-7-at-call",
-        "grid_directions-chunk_rows-negative",
+        "grid_directions-dim-bool",
+        "grid_directions-dim-str",
         "is_optimal_direction-order-0",
+        "energy_push-one-coordinate",
     ],
 )
 def test_bad_arguments_raise_by_the_rule(entry, args, error):

@@ -7,20 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from simplexwidth.verification import check_energy_fuzz, energy_fuzz
+from simplexwidth.verification import energy_fuzz
 
 
 @pytest.mark.parametrize("trials", [0, -5, True, 2.0, "3", None])
 def test_energy_fuzz_rejects_bad_trial_counts(trials):
     with pytest.raises(ValueError):
         energy_fuzz(trials, 0)
-    with pytest.raises(ValueError):
-        check_energy_fuzz(0, trials=trials)
 
 
 def test_energy_fuzz_accepts_one_trial():
     assert energy_fuzz(1, 0) == (1, 0)
-    assert check_energy_fuzz(0, trials=1).passed
 
 
 # Prints how many bytes the resident set grows over a 10,000-trial fuzz,
