@@ -30,7 +30,6 @@ from .directions import (
 from .energy import (
     ENERGY_REL_TOL,
     EnergyReport,
-    center_vector,
     energy_push,
 )
 from .geometry import (
@@ -81,7 +80,6 @@ __all__ = [
     "alpha_beta",
     "alpha_beta_squared",
     "center",
-    "center_vector",
     "circumdistance_squared",
     "circumradius_squared",
     "derive_seed",

@@ -20,7 +20,7 @@ from itertools import product
 from typing import IO, Callable, Iterator, Sequence
 
 from .closed_form import SimplexKind, _squared_pairs, width_squared
-from .directions import is_optimal_direction, optimal_family
+from .directions import OptimalFamily, is_optimal_direction
 from .geometry import (
     MAX_ORDER,
     MAX_SEED,
@@ -199,7 +199,7 @@ def _write_family(n: int, out: IO[str]) -> None:
     once, grouped by alpha count, and each head is written in one call
     with every tail that completes it to t alphas (462 lines at most).
     """
-    family = optimal_family(n)
+    family = OptimalFamily(n)
     family.low_sets()  # raises above ENUMERATION_CAP before any write
     family.representative  # built, hence validated, before any write
     low_text = format_decimal(family.alpha)
@@ -219,7 +219,7 @@ def cmd_directions(args: argparse.Namespace) -> int:
     if args.list:
         _write_family(args.n, sys.stdout)
         return 0
-    family = optimal_family(args.n)
+    family = OptimalFamily(args.n)
     family.representative  # built, hence validated, before any print
     print(f"n: {args.n}")
     print(f"t: {family.t}")

@@ -41,9 +41,9 @@ class OptimalFamily(Frozen):
     """The width-achieving family of the standard n-simplex, as one
     validated representative and the low sets of all its members.
 
-    Every member puts ``alpha`` on its t low coordinates and ``beta``
-    elsewhere, so each is a coordinate permutation of ``representative``
-    (low set {0, ..., t-1}).
+    Every member puts ``alpha`` on its t = optimal_t(n) low coordinates
+    and ``beta`` elsewhere: a coordinate permutation of ``representative``
+    (low set {0, ..., t-1}), which is built and checked when first read.
     """
 
     _fields = ("n", "t", "alpha", "beta")
@@ -52,7 +52,9 @@ class OptimalFamily(Frozen):
     alpha: float
     beta: float
 
-    def __init__(self, n: int, t: int, alpha: float, beta: float) -> None:
+    def __init__(self, n: int) -> None:
+        t = optimal_t(n)
+        alpha, beta = alpha_beta(n, t)
         self.__dict__.update(n=n, t=t, alpha=alpha, beta=beta)
 
     @cached_property
@@ -80,17 +82,6 @@ def optimal_t(n: int) -> int:
     return (n + 1) // 2
 
 
-def optimal_family(n: int) -> OptimalFamily:
-    """The optimal family of order n.
-
-    Validates n only; the representative is built when first read, and
-    `OptimalFamily.low_sets` applies ENUMERATION_CAP.
-    """
-    t = optimal_t(n)
-    a, b = alpha_beta(n, t)
-    return OptimalFamily(n, t, a, b)
-
-
 def make_two_value_direction(n: int, t: int, low_set: Iterable[int]) -> Direction:
     """The unit sum-zero direction with alpha(n, t) on the t indices of
     ``low_set`` and beta(n, t) on the other n+1-t."""
@@ -111,7 +102,7 @@ def enumerate_optimal_directions(n: int) -> list[Direction]:
     1/sqrt(n+1), negations included. Even n: the C(n+1, n/2) two-value
     directions with t = n/2, one per choice of low coordinates.
     """
-    family = optimal_family(n)
+    family = OptimalFamily(n)
     return [make_two_value_direction(n, family.t, low) for low in family.low_sets()]
 
 
@@ -124,7 +115,7 @@ def is_optimal_direction(n: int, u: Direction) -> bool:
     means membership in the constructed family, with no claim that
     False implies a suboptimal direction.
     """
-    family = optimal_family(n)
+    family = OptimalFamily(n)
     if check_type(u, Direction, "u").dim != n + 1:
         raise DimensionError(f"direction has dimension {u.dim}, expected {n + 1}")
     if abs(u.vec.coordinate_sum()) > SUM_ZERO_TOL:

@@ -19,6 +19,7 @@ from .geometry import (
     Frozen,
     PreconditionError,
     Vector,
+    check_flag,
     check_int,
     check_type,
 )
@@ -28,37 +29,27 @@ ENERGY_REL_TOL = 1e-12
 
 
 class EnergyReport(Frozen):
-    """Mean, mean-centered vector, and energy of one input vector."""
+    """Mean, mean-centered vector, and energy of ``v``, computed from it."""
 
     _fields = ("mean", "centered", "energy")
     mean: float
     centered: Vector
     energy: float
 
-    def __init__(self, mean: float, centered: Vector, energy: float) -> None:
-        # Each centered coordinate is rounded relative to the input's
-        # magnitude, which is at most |mean| + max |centered|.
-        coords = check_type(centered, Vector, "centered").coords
-        scale = max(1.0, abs(mean) + max(map(abs, coords)))
-        if abs(centered.coordinate_sum()) > 1e-12 * len(coords) * scale:
-            raise ValueError("centered vector must have coordinate sum zero")
-        nsq = centered.norm_squared()
-        if abs(energy - nsq) > 1e-12 * max(1.0, nsq):
-            raise ValueError("energy must equal the squared centered norm")
+    def __init__(self, v: Vector) -> None:
+        mean = math.fsum(check_type(v, Vector, "v").coords) / v.dim
+        centered = Vector(tuple([c - mean for c in v.coords]))
+        energy = centered.norm_squared()
         self.__dict__.update(mean=mean, centered=centered, energy=energy)
 
 
-def center_vector(v: Vector) -> EnergyReport:
-    """Subtract the coordinate mean and report the resulting energy."""
-    mean = math.fsum(check_type(v, Vector, "v").coords) / v.dim
-    centered = Vector(tuple([c - mean for c in v.coords]))
-    return EnergyReport(mean=mean, centered=centered, energy=centered.norm_squared())
-
-
-def _energy_exact(coords: tuple[float, ...]) -> Fraction:
-    exact = [Fraction(c) for c in coords]
-    mean = sum(exact) / len(exact)
-    return sum((c - mean) ** 2 for c in exact)
+def _scaled_energy(coords: tuple[float, ...]) -> Fraction:
+    """d times the energy, exactly: d·Σq² − (Σq)² over the coordinates'
+    binary values q, summed as integers over their common denominator."""
+    ratios = [c.as_integer_ratio() for c in coords]
+    den = math.lcm(*[b for _, b in ratios])
+    q = [a * (den // b) for a, b in ratios]
+    return Fraction(len(q) * sum([x * x for x in q]) - sum(q) ** 2, den * den)
 
 
 def energy_push(
@@ -81,24 +72,20 @@ def energy_push(
     dim = check_type(v, Vector, "v").dim
     check_int(dim, "vector dimension", 2, error=DimensionError)
     check_int(i, "coordinate index", 0, dim - 1, IndexError)
+    if isinstance(new_value, (str, bytes, bytearray, bool)):
+        raise ValueError(f"new coordinate value must be a number, got {new_value!r}")
     new_value = float(new_value)
     if not math.isfinite(new_value):
         raise ValueError("new coordinate value must be finite")
+    check_flag(exact, "exact")
 
-    before = center_vector(v)
-
+    before = EnergyReport(v)
     if exact:
-        exact_coords = [Fraction(c) for c in v.coords]
-        mean = sum(exact_coords) / len(exact_coords)
-        vi = exact_coords[i]
-        nv = Fraction(new_value)
-        hypothesis = (nv > vi >= mean) or (nv < vi < mean)
+        q = [Fraction(c) for c in v.coords]
+        mean, vi, nv = sum(q) / dim, q[i], Fraction(new_value)
     else:
-        vi_f = v.coords[i]
-        hypothesis = (new_value > vi_f >= before.mean) or (
-            new_value < vi_f < before.mean
-        )
-    if not hypothesis:
+        mean, vi, nv = before.mean, v.coords[i], new_value
+    if not (nv > vi >= mean or nv < vi < mean):
         raise PreconditionError(
             "coordinate must start on or beyond the mean and move strictly "
             "away from it (upward case requires v_i >= mean, downward case "
@@ -108,12 +95,11 @@ def energy_push(
     moved = list(v.coords)
     moved[i] = new_value
     u = Vector(tuple(moved))
-    after = center_vector(u)
+    after = EnergyReport(u)
 
     if exact:
-        increased = _energy_exact(u.coords) > _energy_exact(v.coords)
+        increased = _scaled_energy(u.coords) > _scaled_energy(v.coords)
     else:
         gap = after.energy - before.energy
         increased = gap > ENERGY_REL_TOL * max(1.0, before.energy)
     return before, after, increased
-

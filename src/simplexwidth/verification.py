@@ -246,6 +246,7 @@ def check_optimizer_agreement(
 
 def run_all_checks(max_n: int, seed: int) -> list[CheckResult]:
     """The full verification battery; each check caps ``max_n`` itself."""
+    check_int(seed, "seed", 0, MAX_SEED)
     return [
         check_exact_identities(max_n),
         check_radii_distances(max_n),

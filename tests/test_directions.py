@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from simplexwidth.closed_form import SimplexKind, alpha_beta, width_for_t, width_squared
 from simplexwidth.directions import (
     ENUMERATION_CAP,
+    OptimalFamily,
     enumerate_optimal_directions,
     is_optimal_direction,
     make_two_value_direction,
-    optimal_family,
     optimal_t,
 )
 from simplexwidth.geometry import (
@@ -92,7 +92,7 @@ def test_enumeration_cap_and_order_validation():
             enumerate_optimal_directions(bad)
     # the family itself exists at any valid order; only its low sets,
     # the enumeration, are capped
-    family = optimal_family(ENUMERATION_CAP + 1)
+    family = OptimalFamily(ENUMERATION_CAP + 1)
     assert family.t == optimal_t(ENUMERATION_CAP + 1)
     with pytest.raises(ValueError, match="capped"):
         family.low_sets()
@@ -100,7 +100,7 @@ def test_enumeration_cap_and_order_validation():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, ENUMERATION_CAP])
 def test_optimal_family_representative_and_low_sets(n):
-    family = optimal_family(n)
+    family = OptimalFamily(n)
     t = optimal_t(n)
     assert family.t == t
     assert (family.alpha, family.beta) == alpha_beta(n, t)
@@ -130,7 +130,7 @@ def _count_direction_builds(monkeypatch):
 
 
 def test_membership_builds_no_direction(monkeypatch):
-    member = negated(optimal_family(50).representative)
+    member = negated(OptimalFamily(50).representative)
     built = _count_direction_builds(monkeypatch)
     assert is_optimal_direction(50, member)
     assert built == []
@@ -138,7 +138,7 @@ def test_membership_builds_no_direction(monkeypatch):
 
 def test_representative_is_built_once_on_first_read(monkeypatch):
     built = _count_direction_builds(monkeypatch)
-    family = optimal_family(100)
+    family = OptimalFamily(100)
     assert built == []
     assert family.representative is family.representative
     assert len(built) == 1
@@ -201,10 +201,10 @@ def test_membership_tolerance_boundary():
 
 
 def test_membership_above_the_enumeration_cap():
-    # the membership test reads t, alpha and beta from optimal_family,
+    # the membership test reads t, alpha and beta from OptimalFamily,
     # which serves every valid order, not only enumerable ones
     n = 50
-    family = optimal_family(n)
+    family = OptimalFamily(n)
     member = make_two_value_direction(n, family.t, range(1, n + 1, 2))
     assert is_optimal_direction(n, member)
     assert is_optimal_direction(n, negated(member))

@@ -11,7 +11,7 @@ from simplexwidth.directions import (
     is_optimal_direction,
     make_two_value_direction,
 )
-from simplexwidth.energy import EnergyReport, center_vector, energy_push
+from simplexwidth.energy import EnergyReport, energy_push
 from simplexwidth.geometry import (
     DimensionError,
     Direction,
@@ -49,8 +49,10 @@ def test_public_names_resolve_once():
 
 _UNIT = Vector((0.6, 0.8))
 
-# (class, the shortest positional call, every field by keyword with the
-# defaults spelled out, its repr, one field and another value for it)
+# (class, the shortest positional call, every argument by keyword with
+# the defaults spelled out, its repr, one argument and another value for
+# it). OptimalFamily and EnergyReport are built from their one source,
+# so their fields are not their arguments.
 VALUE_CASES = [
     (
         Vector,
@@ -75,17 +77,17 @@ VALUE_CASES = [
     ),
     (
         OptimalFamily,
-        (3, 2, -0.5, 0.5),
-        {"n": 3, "t": 2, "alpha": -0.5, "beta": 0.5},
+        (3,),
+        {"n": 3},
         "OptimalFamily(n=3, t=2, alpha=-0.5, beta=0.5)",
-        ("t", 1),
+        ("n", 4),
     ),
     (
         EnergyReport,
-        (2.0, Vector((-1.0, 1.0)), 2.0),
-        {"mean": 2.0, "centered": Vector((-1.0, 1.0)), "energy": 2.0},
+        (Vector((1.0, 3.0)),),
+        {"v": Vector((1.0, 3.0))},
         "EnergyReport(mean=2.0, centered=Vector(coords=(-1.0, 1.0)), energy=2.0)",
-        ("mean", 3.0),
+        ("v", Vector((1.0, 4.0))),
     ),
     (
         OptimizerConfig,
@@ -125,29 +127,29 @@ VALUE_CASES = [
 
 
 @pytest.mark.parametrize(
-    "cls,args,fields,text,change",
+    "cls,args,kwargs,text,change",
     VALUE_CASES,
     ids=[case[0].__name__ for case in VALUE_CASES],
 )
-def test_value_classes_are_immutable_values(cls, args, fields, text, change):
-    value = cls(**fields)
+def test_value_classes_are_immutable_values(cls, args, kwargs, text, change):
+    value = cls(**kwargs)
     if cls is OptimalFamily:
         # the cached member lives in the instance and changes none of the below
         assert value.representative is value.representative
     assert cls(*args) == value
-    assert cls(*fields.values()) == value
+    assert cls(*kwargs.values()) == value
     assert hash(cls(*args)) == hash(value)
     assert repr(value) == text
 
     name, other = change
-    assert cls(**{**fields, name: other}) != value
+    assert cls(**{**kwargs, name: other}) != value
     subclass = type(cls.__name__, (cls,), {})
-    assert subclass(**fields) != value and value != subclass(**fields)
-    assert value != tuple(fields.values())
+    assert subclass(**kwargs) != value and value != subclass(**kwargs)
+    assert value != value._values()
 
-    for field in fields:
+    for field in cls._fields:
         with pytest.raises(AttributeError):
-            setattr(value, field, fields[field])
+            setattr(value, field, getattr(value, field))
         with pytest.raises(AttributeError):
             delattr(value, field)
     assert repr(value) == text
@@ -173,12 +175,11 @@ BAD_ARGUMENTS = [
     (OptimizerConfig, (64, 10_000, "1"), ValueError),
     (OptimizerConfig, (64, 10_000, True), ValueError),
     (grid_width_oracle, (standard_simplex_vertices(2), 16.5), ValueError),
-    (EnergyReport, (0.0, (1.0, -1.0), 2.0), TypeError),
+    (EnergyReport, ((1.0, 2.0),), TypeError),
     (is_optimal_direction, (1, _UNIT.coords), TypeError),
     (minimize_width, (((1.0, 0.0),), OptimizerConfig()), TypeError),
     (minimize_width, (standard_simplex_vertices(2), None), TypeError),
     (energy_push, ((1.0, 2.0), 0, 3.0), TypeError),
-    (center_vector, ((1.0, 2.0),), TypeError),
     (projection_width, ((1.0, 0.0), standard_simplex_vertices(1)), TypeError),
     (projection_width, (Direction(_UNIT), ((0.0, 0.0),)), TypeError),
     (distance, ((1.0,), Vector((1.0,))), TypeError),
@@ -194,6 +195,13 @@ BAD_ARGUMENTS = [
     (grid_directions, ("2", 16), DimensionError),
     (is_optimal_direction, (0, Direction(Vector((1.0,)))), DimensionError),
     (energy_push, (Vector((1.0,)), 0, 2.0), DimensionError),
+    # "no" is truthy, and float() accepts "3", b"3", bytearray(b"3") and
+    # True: each call would run at (0, 0), i = 0, and return
+    (energy_push, (Vector((0.0, 0.0)), 0, 1e-300, "no"), ValueError),
+    (energy_push, (Vector((0.0, 0.0)), 0, "3"), ValueError),
+    (energy_push, (Vector((0.0, 0.0)), 0, b"3"), ValueError),
+    (energy_push, (Vector((0.0, 0.0)), 0, bytearray(b"3")), ValueError),
+    (energy_push, (Vector((0.0, 0.0)), 0, True), ValueError),
 ]
 
 
@@ -212,12 +220,11 @@ BAD_ARGUMENTS = [
         "config-tol-str",
         "config-tol-bool",
         "grid-resolution-float",
-        "energy_report-centered-tuple",
+        "energy_report-tuple",
         "is_optimal_direction-tuple",
         "minimize_width-points-tuple",
         "minimize_width-cfg-none",
         "energy_push-tuple",
-        "center_vector-tuple",
         "projection_width-u-tuple",
         "projection_width-points-tuple",
         "distance-tuple",
@@ -232,6 +239,11 @@ BAD_ARGUMENTS = [
         "grid_directions-dim-str",
         "is_optimal_direction-order-0",
         "energy_push-one-coordinate",
+        "energy_push-exact-str",
+        "energy_push-new_value-str",
+        "energy_push-new_value-bytes",
+        "energy_push-new_value-bytearray",
+        "energy_push-new_value-bool",
     ],
 )
 def test_bad_arguments_raise_by_the_rule(entry, args, error):

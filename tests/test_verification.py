@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from simplexwidth.verification import energy_fuzz
+from simplexwidth import verification
+from simplexwidth.verification import energy_fuzz, run_all_checks
 
 
 @pytest.mark.parametrize("trials", [0, -5, True, 2.0, "3", None])
@@ -18,6 +19,17 @@ def test_energy_fuzz_rejects_bad_trial_counts(trials):
 
 def test_energy_fuzz_accepts_one_trial():
     assert energy_fuzz(1, 0) == (1, 0)
+
+
+def test_run_all_checks_rejects_its_seed_before_any_check(monkeypatch):
+    # only the fifth check reads the seed, so the battery checks it first
+    calls = []
+    monkeypatch.setattr(
+        verification, "check_exact_identities", lambda *args: calls.append(args)
+    )
+    with pytest.raises(ValueError, match="seed"):
+        run_all_checks(64, -1)
+    assert calls == []
 
 
 # Prints how many bytes the resident set grows over a 10,000-trial fuzz,
@@ -46,7 +58,8 @@ def test_energy_fuzz_leaves_the_heap_near_its_size():
     # Tuples built from generators of 2..50 coordinates grew by
     # reallocation and left about 3 MiB of fragmented heap behind; built
     # from lists, the growth is about 0.4 MiB. Reverting Vector or
-    # center_vector alone to the generator form grows it past 1 MiB.
+    # EnergyReport's centered vector alone to the generator form grows it
+    # past 1 MiB.
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _FUZZ_RSS_GROWTH],
