@@ -175,6 +175,7 @@ BAD_ARGUMENTS = [
     (OptimizerConfig, (64, 10_000, "1"), ValueError),
     (OptimizerConfig, (64, 10_000, True), ValueError),
     (grid_width_oracle, (standard_simplex_vertices(2), 16.5), ValueError),
+    # a tuple in place of the Vector that EnergyReport centers
     (EnergyReport, ((1.0, 2.0),), TypeError),
     (is_optimal_direction, (1, _UNIT.coords), TypeError),
     (minimize_width, (((1.0, 0.0),), OptimizerConfig()), TypeError),
@@ -220,7 +221,7 @@ BAD_ARGUMENTS = [
         "config-tol-str",
         "config-tol-bool",
         "grid-resolution-float",
-        "energy_report-tuple",
+        "energy_report-centered-tuple",
         "is_optimal_direction-tuple",
         "minimize_width-points-tuple",
         "minimize_width-cfg-none",
