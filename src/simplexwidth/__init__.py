@@ -15,6 +15,7 @@ from .closed_form import (
     circumradius_squared,
     indistance_squared,
     inradius_squared,
+    optimal_t,
     width,
     width_for_t,
     width_squared,
@@ -25,7 +26,6 @@ from .directions import (
     enumerate_optimal_directions,
     is_optimal_direction,
     make_two_value_direction,
-    optimal_t,
 )
 from .energy import (
     ENERGY_REL_TOL,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import IO, Callable, Iterator, Sequence
 
-from .closed_form import SimplexKind, _squared_pairs, width_squared
+from .closed_form import SimplexKind, _halved, _squared_pairs, width, width_squared
 from .directions import OptimalFamily, is_optimal_direction
 from .geometry import (
     MAX_ORDER,
@@ -116,20 +116,19 @@ def table_rows(
     # Read from the module at call time, once per table, so a wrapper put
     # there after import (as a tracer does) is the one called.
     decimal = format_decimal
-    for n, std_num, std_den, reg_num, reg_den, in_num, in_den, circ_num, circ_den in (
-        _squared_pairs(range(1, max_n + 1))
-    ):
-        # Rationals in lowest terms, as format_rational writes a Fraction.
-        g = math.gcd(std_num, std_den)
-        h = math.gcd(reg_num, reg_den)
+    for n in range(1, max_n + 1):
+        (std_num, std_den), in_pair, circ_pair = _squared_pairs(n)
+        reg_num, reg_den = _halved(std_num, std_den)
+        in_num, in_den = _halved(*in_pair)
+        circ_num, circ_den = _halved(*circ_pair)
         width_reg = math.sqrt(reg_num / reg_den)
         row: tuple[object, ...] = (
             n,
             "odd" if n % 2 else "even",
-            std_num // g,
-            std_den // g,
-            reg_num // h,
-            reg_den // h,
+            std_num,
+            std_den,
+            reg_num,
+            reg_den,
             decimal(width_reg),
             decimal(math.sqrt(in_num / in_den)),
             decimal(math.sqrt(circ_num / circ_den)),
@@ -162,11 +161,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_width(args: argparse.Namespace) -> int:
     kind = SimplexKind(args.kind)
-    w_sq = width_squared(args.n, kind)
     if args.exact:
-        print(f"width^2 = {format_rational(w_sq)}")
+        print(f"width^2 = {format_rational(width_squared(args.n, kind))}")
     else:
-        print(f"width = {format_decimal(math.sqrt(w_sq))}")
+        print(f"width = {format_decimal(width(args.n, kind))}")
     return 0
 
 
@@ -194,7 +192,7 @@ def _write_family(n: int, out: IO[str]) -> None:
     Only the representative is built, and so checked for unit norm and
     sum zero; every member permutes its coordinates, and math.fsum is
     correctly rounded, so no other check could fail. A line splits into
-    a head of (n+1)//2 coordinates and a tail; lexicographic order over
+    a head of t coordinates and a tail; lexicographic order over
     lines is order over heads, then over tails. So the tails are joined
     once, grouped by alpha count, and each head is written in one call
     with every tail that completes it to t alphas (462 lines at most).
@@ -204,12 +202,12 @@ def _write_family(n: int, out: IO[str]) -> None:
     family.representative  # built, hence validated, before any write
     low_text = format_decimal(family.alpha)
     high_text = format_decimal(family.beta)
-    half = (n + 1) // 2
-    tails: list[list[str]] = [[] for _ in range(n + 2 - half)]
-    for tail in product((low_text, high_text), repeat=n + 1 - half):
+    t = family.t
+    tails: list[list[str]] = [[] for _ in range(n + 2 - t)]
+    for tail in product((low_text, high_text), repeat=n + 1 - t):
         tails[tail.count(low_text)].append(" ".join(tail))
-    for head in product((low_text, high_text), repeat=half):
-        need = family.t - head.count(low_text)
+    for head in product((low_text, high_text), repeat=t):
+        need = t - head.count(low_text)
         if 0 <= need < len(tails):
             prefix = " ".join(head) + " "
             out.write(prefix + ("\n" + prefix).join(tails[need]) + "\n")

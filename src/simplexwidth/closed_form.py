@@ -3,10 +3,9 @@
 Every quantity here is a square: width^2, radius^2, and the squared
 two-value coordinates are all rationals, so the public functions return
 exact `fractions.Fraction` values; the width and radius ones build them
-from (numerator, denominator) pairs, which the CLI `table` reads
-directly. The pair helpers do not check n and may return a pair not in
-lowest terms. Square roots are taken only at presentation boundaries
-(CLI output, float helpers).
+from (numerator, denominator) pairs of ints in lowest terms, which the
+CLI `table` reads directly. Square roots are taken only at presentation
+boundaries (CLI output, float helpers).
 
 Conventions, for the n-simplex with n >= 1:
 
@@ -14,12 +13,10 @@ Conventions, for the n-simplex with n >= 1:
   edge length sqrt(2);
 * regular: the same simplex scaled by 1/sqrt(2), edge length 1.
 
-Width of the standard simplex, squared:
-
-    4/(n+1)              for odd n
-    4(n+1)/(n(n+2))      for even n
-
-and the regular simplex gets exactly half of each squared value.
+Along a unit sum-zero direction with t equal low coordinates the
+standard simplex has squared width (n+1)/(t(n+1-t)), least at
+t = optimal_t(n); that least value is the squared width. The regular
+simplex halves every squared length of the standard one.
 """
 
 from __future__ import annotations
@@ -27,10 +24,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
 
-# MAX_ORDER is re-exported: it is the closed forms' order cap, applied by
-# check_order.
+# MAX_ORDER, the order cap that check_order applies, is re-exported.
 from .geometry import MAX_ORDER, Vector, check_int, check_order
 
 
@@ -39,36 +34,50 @@ class SimplexKind(Enum):
     REGULAR = "regular"
 
 
-def _squared_pairs(ns: range) -> Iterator[tuple[int, ...]]:
-    """For each n in ns: n, then the squared widths of the standard and the
-    regular simplex and the squared inradius and circumradius of the
-    unit-edge simplex, as four (numerator, denominator) pairs flattened
-    into one tuple of nine ints."""
-    for n in ns:
-        num, den = (4, n + 1) if n % 2 else (4 * (n + 1), n * (n + 2))
-        yield n, num, den, num, 2 * den, 1, 2 * n * (n + 1), n, 2 * (n + 1)
+def optimal_t(n: int) -> int:
+    """Low-coordinate count minimizing the two-value width: (n+1)//2."""
+    check_order(n)
+    return _optimal_t(n)
 
 
-def _width_squared_pair(n: int, kind: SimplexKind) -> tuple[int, int]:
-    _, std_num, std_den, reg_num, reg_den, *_ = next(_squared_pairs(range(n, n + 1)))
-    if kind is SimplexKind.STANDARD:
-        return std_num, std_den
-    if kind is SimplexKind.REGULAR:
-        return reg_num, reg_den
-    raise TypeError(f"unknown simplex kind: {kind!r}")
+def _optimal_t(n: int) -> int:
+    return (n + 1) // 2
+
+
+def _width_for_t_pair(n: int, t: int) -> tuple[int, int]:
+    """`width_for_t` as a pair in lowest terms; n and t are not checked."""
+    num, den = n + 1, t * (n + 1 - t)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _squared_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The squared width, indistance and circumdistance of the standard
+    n-simplex, as (numerator, denominator) pairs in lowest terms; n is not
+    checked."""
+    return _width_for_t_pair(n, _optimal_t(n)), (1, n * (n + 1)), (n, n + 1)
+
+
+def _halved(num: int, den: int) -> tuple[int, int]:
+    """A squared length num/den of the standard simplex, in lowest terms,
+    at the scale of the regular simplex: num/(2 den), in lowest terms."""
+    return (num // 2, den) if num % 2 == 0 else (num, 2 * den)
 
 
 def width_squared(n: int, kind: SimplexKind) -> Fraction:
     """Exact squared width of the n-simplex of the given kind."""
     check_order(n)
-    return Fraction(*_width_squared_pair(n, kind))
+    pair = _squared_pairs(n)[0]
+    if kind is SimplexKind.STANDARD:
+        return Fraction(*pair)
+    if kind is SimplexKind.REGULAR:
+        return Fraction(*_halved(*pair))
+    raise TypeError(f"unknown simplex kind: {kind!r}")
 
 
 def width(n: int, kind: SimplexKind) -> float:
     """Width as a float; the square root of `width_squared`."""
-    check_order(n)
-    num, den = _width_squared_pair(n, kind)
-    return math.sqrt(num / den)
+    return math.sqrt(width_squared(n, kind))
 
 
 def center(n: int) -> Vector:
@@ -84,7 +93,7 @@ def center(n: int) -> Vector:
 def circumdistance_squared(n: int) -> Fraction:
     """Squared distance from the standard simplex's center to each vertex: n/(n+1)."""
     check_order(n)
-    return Fraction(n, n + 1)
+    return Fraction(*_squared_pairs(n)[2])
 
 
 def indistance_squared(n: int) -> Fraction:
@@ -94,33 +103,31 @@ def indistance_squared(n: int) -> Fraction:
     Equals the squared distance from the center to any facet centroid.
     """
     check_order(n)
-    return Fraction(1, n * (n + 1))
+    return Fraction(*_squared_pairs(n)[1])
 
 
 def inradius_squared(n: int) -> Fraction:
     """Squared inradius of the unit-edge simplex: 1/(2n(n+1))."""
     check_order(n)
-    *_, num, den, _, _ = next(_squared_pairs(range(n, n + 1)))
-    return Fraction(num, den)
+    return Fraction(*_halved(*_squared_pairs(n)[1]))
 
 
 def circumradius_squared(n: int) -> Fraction:
     """Squared circumradius of the unit-edge simplex: n/(2(n+1))."""
     check_order(n)
-    *_, num, den = next(_squared_pairs(range(n, n + 1)))
-    return Fraction(num, den)
+    return Fraction(*_halved(*_squared_pairs(n)[2]))
 
 
 def width_for_t(n: int, t: int) -> Fraction:
     """Squared projection width of the standard simplex along any unit
     sum-zero direction with exactly t equal low coordinates.
 
-    Equals (n+1)/(t(n+1-t)); minimized over t at t = (n+1)//2 (and, for
-    even n, equally at t = n/2 + 1 by the t <-> n+1-t symmetry).
+    Minimized over t at t = optimal_t(n) (and, for even n, equally at
+    t = n/2 + 1 by the t <-> n+1-t symmetry).
     """
     check_order(n)
     check_int(t, "low-coordinate count t", 1, n)
-    return Fraction(n + 1, t * (n + 1 - t))
+    return Fraction(*_width_for_t_pair(n, t))
 
 
 def alpha_beta_squared(n: int, t: int) -> tuple[Fraction, Fraction]:

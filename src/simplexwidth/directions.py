@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .closed_form import alpha_beta
+from .closed_form import alpha_beta, optimal_t
 from .geometry import (
     SUM_ZERO_TOL,
     DimensionError,
@@ -23,7 +23,6 @@ from .geometry import (
     PreconditionError,
     Vector,
     check_int,
-    check_order,
     check_type,
 )
 
@@ -76,12 +75,6 @@ class OptimalFamily(Frozen):
         return combinations(range(self.n + 1), self.t)
 
 
-def optimal_t(n: int) -> int:
-    """Low-coordinate count minimizing the two-value width: (n+1)//2."""
-    check_order(n)
-    return (n + 1) // 2
-
-
 def make_two_value_direction(n: int, t: int, low_set: Iterable[int]) -> Direction:
     """The unit sum-zero direction with alpha(n, t) on the t indices of
     ``low_set`` and beta(n, t) on the other n+1-t."""
@@ -110,7 +103,7 @@ def is_optimal_direction(n: int, u: Direction) -> bool:
     """Structural membership test against the optimal family.
 
     True iff u or -u matches, coordinate by coordinate within
-    MEMBERSHIP_TOL, a two-value direction with t = (n+1)//2. For odd n a
+    MEMBERSHIP_TOL, a two-value direction with t = optimal_t(n). For odd n a
     True/False answer is a complete optimality verdict; for even n True
     means membership in the constructed family, with no claim that
     False implies a suboptimal direction.

@@ -21,6 +21,7 @@ from .geometry import (
     Vector,
     check_flag,
     check_int,
+    check_real,
     check_type,
 )
 
@@ -72,11 +73,7 @@ def energy_push(
     dim = check_type(v, Vector, "v").dim
     check_int(dim, "vector dimension", 2, error=DimensionError)
     check_int(i, "coordinate index", 0, dim - 1, IndexError)
-    if isinstance(new_value, (str, bytes, bytearray, bool)):
-        raise ValueError(f"new coordinate value must be a number, got {new_value!r}")
-    new_value = float(new_value)
-    if not math.isfinite(new_value):
-        raise ValueError("new coordinate value must be finite")
+    new_value = check_real(new_value, "new coordinate value")
     check_flag(exact, "exact")
 
     before = EnergyReport(v)

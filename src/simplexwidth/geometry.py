@@ -179,8 +179,8 @@ class PointSet(Frozen):
         return iter(self.points)
 
 
-# The package's argument rule: an integer, seed or flag of the wrong type
-# or out of range raises ValueError (DimensionError for orders and
+# The package's argument rule: an integer, real number, seed or flag of the
+# wrong type or out of range raises ValueError (DimensionError for orders and
 # dimensions); an index of the right type that is out of range raises
 # IndexError; an object argument of the wrong class raises TypeError.
 
@@ -215,6 +215,20 @@ def check_flag(value: bool, name: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be a bool, got {value!r}")
     return value
+
+
+def check_real(value: float, name: str) -> float:
+    """Return ``value`` as a float if it is an int or a float, not a bool,
+    and finite as a float; raise ValueError otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            pass
+        else:
+            if math.isfinite(x):
+                return x
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def check_order(n: int, cap: int = MAX_ORDER) -> None:

@@ -33,6 +33,7 @@ from .geometry import (
     check_flag,
     check_int,
     check_order,
+    check_real,
     check_type,
 )
 
@@ -83,8 +84,9 @@ class OptimizerConfig(Frozen):
         seed: int = 0,
         constrain_sum_zero: bool = False,
     ) -> None:
-        if not isinstance(tol, float) or not tol > 0:
-            raise ValueError(f"tol must be a positive float, got {tol!r}")
+        tol = check_real(tol, "tol")
+        if not tol > 0:
+            raise ValueError(f"tol must be positive, got {tol!r}")
         self.__dict__.update(
             restarts=check_int(restarts, "restarts"),
             max_iters=check_int(max_iters, "max_iters"),

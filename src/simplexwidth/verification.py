@@ -77,10 +77,11 @@ def derive_seed(seed: int, *key: int) -> int:
 def check_exact_identities(max_n: int = EXACT_MAX_N) -> CheckResult:
     """Exact rational identities over n = 1..max_n.
 
-    Parity formulas for the squared width, the regular = standard/2
-    halving, the radii halving, the two-value sanity identity, the
-    argmin-in-t characterization, strict monotone decrease in n, and
-    the inball/width/circumball sandwich.
+    The library's widths and radii against this module's own copy of each
+    formula: the parity formulas for the squared width, half of each for
+    the regular simplex, and the four radii. Then the two-value sanity
+    identity, the argmin-in-t characterization, strict monotone decrease
+    in n, and the inball/width/circumball sandwich.
     """
     name = "exact-rational-identities"
     max_n = _bound(max_n, EXACT_MAX_N)
@@ -94,12 +95,18 @@ def check_exact_identities(max_n: int = EXACT_MAX_N) -> CheckResult:
             expected = Fraction(4 * (n + 1), n * (n + 2))
         if std != expected:
             return CheckResult(name, False, f"parity formula mismatch at n={n}")
-        if reg * 2 != std:
-            return CheckResult(name, False, f"halving identity fails at n={n}")
-        if inradius_squared(n) * 2 != indistance_squared(n):
-            return CheckResult(name, False, f"inradius halving fails at n={n}")
-        if circumradius_squared(n) * 2 != circumdistance_squared(n):
-            return CheckResult(name, False, f"circumradius halving fails at n={n}")
+        if reg != expected / 2:
+            return CheckResult(name, False, f"regular parity formula mismatch at n={n}")
+        circumdistance = circumdistance_squared(n)
+        indistance = indistance_squared(n)
+        for radius, value, formula in (
+            ("circumdistance", circumdistance, Fraction(n, n + 1)),
+            ("indistance", indistance, Fraction(1, n * (n + 1))),
+            ("circumradius", circumradius_squared(n), Fraction(n, 2 * (n + 1))),
+            ("inradius", inradius_squared(n), Fraction(1, 2 * n * (n + 1))),
+        ):
+            if value != formula:
+                return CheckResult(name, False, f"{radius} formula mismatch at n={n}")
         for t in range(1, n + 1):
             a_sq, b_sq = alpha_beta_squared(n, t)
             if t * a_sq + (n + 1 - t) * b_sq != 1:
@@ -116,7 +123,7 @@ def check_exact_identities(max_n: int = EXACT_MAX_N) -> CheckResult:
         if previous_regular is not None and not reg < previous_regular:
             return CheckResult(name, False, f"monotone decrease fails at n={n}")
         previous_regular = reg
-        if not indistance_squared(n) <= std / 4 <= circumdistance_squared(n):
+        if not indistance <= std / 4 <= circumdistance:
             return CheckResult(name, False, f"radius sandwich fails at n={n}")
     return CheckResult(name, True, f"n=1..{max_n}: all identities hold exactly")
 
@@ -245,13 +252,27 @@ def check_optimizer_agreement(
 
 
 def run_all_checks(max_n: int, seed: int) -> list[CheckResult]:
-    """The full verification battery; each check caps ``max_n`` itself."""
+    """The full verification battery; each check caps ``max_n`` itself.
+
+    Bad arguments raise before any check runs. An exception inside a check
+    becomes that check's failed result, and the other checks still run.
+    """
+    check_order(max_n)
     check_int(seed, "seed", 0, MAX_SEED)
-    return [
-        check_exact_identities(max_n),
-        check_radii_distances(max_n),
-        check_enumeration_oracle(max_n),
-        check_direction_families(max_n),
-        check_energy_fuzz(seed),
-        check_optimizer_agreement(max_n, seed),
-    ]
+    # The checks are read from the module here, at call time, so that a
+    # wrapper put there after import (as a tracer does) is the one called.
+    battery = (
+        ("exact-rational-identities", check_exact_identities, (max_n,)),
+        ("radii-distances", check_radii_distances, (max_n,)),
+        ("enumeration-oracle", check_enumeration_oracle, (max_n,)),
+        ("direction-families", check_direction_families, (max_n,)),
+        ("energy-fuzz", check_energy_fuzz, (seed,)),
+        ("optimizer-agreement", check_optimizer_agreement, (max_n, seed)),
+    )
+    results = []
+    for name, check, args in battery:
+        try:
+            results.append(check(*args))
+        except Exception as exc:
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+    return results

@@ -442,7 +442,7 @@ def test_verify_reports_failed_checks_with_exit_1(monkeypatch, capsys):
     assert code == 1
     assert err == ""
     lines = out.splitlines()
-    assert "FAIL exact-rational-identities: circumradius halving fails at n=1" in lines
+    assert "FAIL exact-rational-identities: circumdistance formula mismatch at n=1" in lines
     assert "FAIL radii-distances: vertex distance off at n=1, j=0" in lines
     assert sum(line.startswith("PASS ") for line in lines) == 4
     assert lines[-1] == "2 of 6 checks failed"

@@ -11,8 +11,8 @@ from simplexwidth.cli import TABLE_MAX_N
 from simplexwidth.closed_form import (
     MAX_ORDER,
     SimplexKind,
+    _halved,
     _squared_pairs,
-    _width_squared_pair,
     alpha_beta,
     alpha_beta_squared,
     center,
@@ -137,10 +137,10 @@ def test_results_are_fractions_in_lowest_terms():
 
 
 def _assert_pair_is(pair, exact):
+    # in lowest terms, as the table writes it
+    assert pair == (exact.numerator, exact.denominator)
     num, den = pair
-    g = math.gcd(num, den)
-    assert (num // g, den // g) == (exact.numerator, exact.denominator)
-    # int/int division is correctly rounded, in or out of lowest terms
+    # int/int division is correctly rounded
     assert math.sqrt(num / den) == math.sqrt(exact)
 
 
@@ -150,9 +150,12 @@ def _assert_pair_is(pair, exact):
 @example(TABLE_MAX_N)
 @example(MAX_ORDER)
 def test_integer_pairs_are_the_public_fractions(n):
+    width_pair, in_pair, circ_pair = _squared_pairs(n)
+    _assert_pair_is(width_pair, width_squared(n, SimplexKind.STANDARD))
+    _assert_pair_is(_halved(*width_pair), width_squared(n, SimplexKind.REGULAR))
     for kind in SimplexKind:
-        _assert_pair_is(_width_squared_pair(n, kind), width_squared(n, kind))
         assert width(n, kind) == math.sqrt(width_squared(n, kind))
-    *_, in_num, in_den, circ_num, circ_den = next(_squared_pairs(range(n, n + 1)))
-    _assert_pair_is((in_num, in_den), inradius_squared(n))
-    _assert_pair_is((circ_num, circ_den), circumradius_squared(n))
+    _assert_pair_is(in_pair, indistance_squared(n))
+    _assert_pair_is(circ_pair, circumdistance_squared(n))
+    _assert_pair_is(_halved(*in_pair), inradius_squared(n))
+    _assert_pair_is(_halved(*circ_pair), circumradius_squared(n))

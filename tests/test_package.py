@@ -1,7 +1,9 @@
 """The public namespace of the package and its immutable value classes."""
 
 import copy
+import math
 import pickle
+from decimal import Decimal
 
 import pytest
 
@@ -203,6 +205,14 @@ BAD_ARGUMENTS = [
     (energy_push, (Vector((0.0, 0.0)), 0, b"3"), ValueError),
     (energy_push, (Vector((0.0, 0.0)), 0, bytearray(b"3")), ValueError),
     (energy_push, (Vector((0.0, 0.0)), 0, True), ValueError),
+    # a real number is an int or a float: float() accepts Decimal("3") and
+    # raises TypeError on None, 1+0j and [3.0], OverflowError on 10**400
+    (energy_push, (Vector((0.0, 0.0)), 0, None), ValueError),
+    (energy_push, (Vector((0.0, 0.0)), 0, 1 + 0j), ValueError),
+    (energy_push, (Vector((0.0, 0.0)), 0, [3.0]), ValueError),
+    (energy_push, (Vector((0.0, 0.0)), 0, Decimal("3")), ValueError),
+    (energy_push, (Vector((0.0, 0.0)), 0, 10**400), ValueError),
+    (OptimizerConfig, (64, 10_000, math.inf), ValueError),
 ]
 
 
@@ -245,6 +255,12 @@ BAD_ARGUMENTS = [
         "energy_push-new_value-bytes",
         "energy_push-new_value-bytearray",
         "energy_push-new_value-bool",
+        "energy_push-new_value-none",
+        "energy_push-new_value-complex",
+        "energy_push-new_value-list",
+        "energy_push-new_value-decimal",
+        "energy_push-new_value-int-overflow",
+        "config-tol-inf",
     ],
 )
 def test_bad_arguments_raise_by_the_rule(entry, args, error):
