@@ -27,6 +27,7 @@ from .geometry import (
     VERTEX_MAX_ORDER,
     DimensionError,
     PreconditionError,
+    check_flag,
     check_order,
     regular_simplex_vertices,
     standard_simplex_vertices,
@@ -37,7 +38,8 @@ from .verification import derive_seed, run_all_checks
 TABLE_MAX_N = 10_000
 TABLE_NUMERIC_MAX_N = 100
 VERIFY_MAX_N = 64
-# The optimizer works on the dense (n+1) x (n+1) vertex matrix.
+# The optimizer holds only restarts x (n+1) arrays on the standard simplex,
+# but `optimize` builds the simplex's (n+1)^2 vertex coordinates to pass it.
 OPTIMIZE_MAX_N = VERTEX_MAX_ORDER
 # Each restart is one row of every restarts x (n+1) optimizer array and
 # one spawned seed sequence; the cap keeps those arrays near 8 MB at n = 1000.
@@ -113,6 +115,7 @@ def table_rows(
     """The fields of the rows for n = 1..max_n, in the order of
     `_line_template`, from the closed forms' integer pairs."""
     check_order(max_n)
+    check_flag(include_numeric, "include_numeric")
     # Read from the module at call time, once per table, so a wrapper put
     # there after import (as a tracer does) is the one called.
     decimal = format_decimal

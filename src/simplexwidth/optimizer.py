@@ -19,6 +19,7 @@ every run deterministic.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
@@ -152,7 +153,7 @@ def _restart_inits(cfg: OptimizerConfig, dim: int) -> np.ndarray:
 def _snap(
     best_u: np.ndarray,
     best_w: np.ndarray,
-    pts: np.ndarray,
+    pts: np.ndarray | None,
     scale: float,
     sum_zero: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +169,8 @@ def _snap(
     and the final snap keeps its result. The arithmetic is that of
     snapping one row at a time: each row norm is one dot product, as in
     `np.linalg.norm` of a vector, and each projection a matrix-vector
-    product, or ``scale`` times the row for a vertex matrix that is
-    ``scale`` times the identity.
+    product with ``pts``, or ``scale`` times the row for a vertex matrix
+    that is ``scale`` times the identity, which leaves ``pts`` unread.
     """
     import numpy as np
 
@@ -191,17 +192,28 @@ def _snap(
     return np.where(keep[:, None], snapped, best_u), np.where(keep, widths, best_w)
 
 
-def _identity_scale(pts: np.ndarray) -> float:
-    """The c of a vertex matrix that is exactly c times the identity,
-    c != 0 and every off-diagonal entry +0.0; 0.0 for any other matrix.
-    The standard simplex has c = 1, the regular one c = 1/sqrt(2)."""
-    import numpy as np
+def _identity_scale(points: PointSet) -> float:
+    """The c of a point set whose rows are exactly c times the rows of the
+    identity: as many points as coordinates, c != 0 the first coordinate,
+    every other entry +0.0. Returns 0.0 for any other set. The standard
+    simplex has c = 1, the regular one c = 1/sqrt(2).
 
-    rows, dim = pts.shape
-    c = float(pts[0, 0])
-    if rows != dim or c == 0.0:
+    Rows are compared one at a time, as bytes, so nothing of size
+    (n+1)^2 is made: the bytes of c*e_i are the window of ``band`` (c
+    with dim - 1 zero doubles on each side) that starts i doubles
+    before c.
+    """
+    dim = points.dim
+    c = points.points[0].coords[0]
+    if len(points) != dim or c == 0.0:
         return 0.0
-    return c if pts.tobytes() == np.diag(np.full(dim, c)).tobytes() else 0.0
+    pack = struct.Struct(f"{dim}d").pack
+    zeros = bytes(8 * (dim - 1))
+    band = zeros + struct.pack("d", c) + zeros
+    for i, p in enumerate(points):
+        if not band.startswith(pack(*p.coords), 8 * (dim - 1 - i)):
+            return 0.0
+    return c
 
 
 def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
@@ -220,9 +232,10 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     When the vertex matrix is c times the identity (the standard and
     regular simplices), the projections of an iterate u are just its
     coordinates scaled by c, so they are computed as ``c * u`` instead
-    of a matrix product. Each dot product has one nonzero term, so the
-    scaled coordinates equal the matrix product exactly and the result
-    is the same, bit for bit, as on the general path.
+    of a matrix product, and the vertex matrix is never built. Each dot
+    product has one nonzero term, so the scaled coordinates equal the
+    matrix product exactly and the result is the same, bit for bit, as
+    on the general path.
 
     On such a matrix the run also stops early, so ``max_iters`` is only
     an upper bound. Every SNAP_EVERY iterations it calls the same
@@ -247,8 +260,8 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     dim = check_type(points, PointSet, "points").dim
     sum_zero = check_type(cfg, OptimizerConfig, "cfg").constrain_sum_zero
     check_int(dim - sum_zero, "search dimension", 1, error=DimensionError)
-    pts = _points_matrix(points)
-    scale = _identity_scale(pts)
+    scale = _identity_scale(points)
+    pts = None if scale else _points_matrix(points)
     r = cfg.restarts
     add = np.add.reduce
 
@@ -271,10 +284,10 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     # bit.
     for k in range(1, cfg.max_iters + 1):
         if scale:
-            # g = pts[hi] - pts[lo] holds c, -c and +0.0 only: its
-            # coordinate sum is exactly 0, so centering leaves it as it
-            # is, and <g, U> has two nonzero terms, c*U[hi] - c*U[lo],
-            # which is exactly the current width.
+            # The general step's g = pts[hi] - pts[lo] holds c, -c and
+            # +0.0 only: its coordinate sum is exactly 0, so centering
+            # leaves it as it is, and <g, U> has two nonzero terms,
+            # c*U[hi] - c*U[lo], which is exactly the current width.
             g = np.zeros((r, dim))
             g[rows, hi] = scale
             g[rows, lo] -= scale

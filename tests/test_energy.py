@@ -239,7 +239,7 @@ def test_clamping_unit_sum_zero_never_loses_energy(dim, seed):
     # the standard simplex its width is spread(z) over the norm of the
     # centered clamp, so "norm^2 >= 1" reads as "the width never grows"
     spread = z.max() - z.min()
-    _, snapped_w = _snap(z[None, :], np.array([np.inf]), np.eye(dim), 1.0, True)
+    _, snapped_w = _snap(z[None, :], np.array([np.inf]), None, 1.0, True)
     assert snapped_w[0] <= spread / math.sqrt(1.0 - 1e-12)
     displacement = np.where(z < 0, z - z.min(), z.max() - z).sum()
     if displacement > 1e-6:

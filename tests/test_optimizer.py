@@ -1,6 +1,7 @@
 """Subgradient minimizer, dense grid oracle, and exact enumeration."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -287,9 +288,12 @@ def _reference_minimize_width(points, cfg):
     return float(best_w[winner]), coords, converged, cfg.max_iters
 
 
+def _point_set(rows):
+    return PointSet(tuple(Vector(tuple(row)) for row in rows))
+
+
 def _random_points(seed, dim, count):
-    rng = np.random.default_rng(seed)
-    return PointSet(tuple(Vector(tuple(row)) for row in rng.standard_normal((count, dim))))
+    return _point_set(np.random.default_rng(seed).standard_normal((count, dim)))
 
 
 EQUIVALENCE_CASES = [
@@ -302,6 +306,8 @@ EQUIVALENCE_CASES = [
     ("random-3d-sum-zero", _random_points(23, 3, 6), True),
     ("random-5d", _random_points(24, 5, 11), False),
     ("origin", PointSet((Vector((0.0, 0.0, 0.0)),)), False),
+    # adding 0.0 makes the -0.0 entries of -I +0.0
+    ("minus-identity-4", _point_set(-np.eye(4) + 0.0), True),
 ]
 
 
@@ -330,7 +336,7 @@ def test_early_stop_is_the_reference_loop_cut_short(points, sum_zero):
     # textbook loop returns with max_iters=k; other point sets never stop
     cfg = OptimizerConfig(seed=41, constrain_sum_zero=sum_zero)
     result = minimize_width(points, cfg)
-    if not _identity_scale(_points_matrix(points)):
+    if not _identity_scale(points):
         assert result.iterations == cfg.max_iters
         return
     assert result.iterations < cfg.max_iters
@@ -388,7 +394,8 @@ def test_snap_is_bitwise_the_per_row_snap(scale, sum_zero):
         else:
             pts = rng.standard_normal((int(rng.integers(1, 9)), dim))
         u_in, w_in = u.copy(), best_w.copy()
-        got_u, got_w = _snap(u, best_w, pts, scale, sum_zero)
+        # the c*I path never reads the vertex matrix
+        got_u, got_w = _snap(u, best_w, None if scale else pts, scale, sum_zero)
         assert u.tobytes() == u_in.tobytes() and best_w.tobytes() == w_in.tobytes()
         expected_u, expected_w = u.copy(), best_w.copy()
         _reference_snap_rows(expected_u, expected_w, pts, sum_zero)
@@ -409,13 +416,34 @@ def test_snap_is_bitwise_the_per_row_snap(scale, sum_zero):
 
 
 def test_identity_scale_detects_only_scaled_identities():
-    assert _identity_scale(_points_matrix(standard_simplex_vertices(4))) == 1.0
-    assert _identity_scale(_points_matrix(regular_simplex_vertices(4))) == 1.0 / math.sqrt(2.0)
-    assert _identity_scale(np.zeros((1, 1))) == 0.0
-    assert _identity_scale(_points_matrix(unit_square())) == 0.0
-    assert _identity_scale(np.array([[1.0, -0.0], [0.0, 1.0]])) == 0.0
-    assert _identity_scale(np.array([[2.0, 0.0], [0.0, 1.0]])) == 0.0
-    assert _identity_scale(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0.0
+    assert _identity_scale(standard_simplex_vertices(4)) == 1.0
+    assert _identity_scale(regular_simplex_vertices(4)) == 1.0 / math.sqrt(2.0)
+    assert _identity_scale(_point_set([[0.0]])) == 0.0
+    assert _identity_scale(unit_square()) == 0.0
+    assert _identity_scale(_point_set([[1.0, -0.0], [0.0, 1.0]])) == 0.0
+    assert _identity_scale(_point_set([[2.0, 0.0], [0.0, 1.0]])) == 0.0
+    assert _identity_scale(_point_set([[0.0, 1.0], [1.0, 0.0]])) == 0.0
+    assert _identity_scale(_point_set([[-1.0, 0.0], [0.0, -1.0]])) == -1.0
+    # a -0.0 off the diagonal of a later row
+    rows = np.eye(5)
+    rows[4, 0] = -0.0
+    assert _identity_scale(_point_set(rows)) == 0.0
+    # not square: the rows of I with a zero row below, or with one row missing
+    assert _identity_scale(_point_set([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])) == 0.0
+    assert _identity_scale(_point_set([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])) == 0.0
+
+
+def test_identity_path_allocates_nothing_of_the_vertex_matrix_size():
+    points = standard_simplex_vertices(300)
+    cfg = OptimizerConfig(restarts=2, max_iters=1, constrain_sum_zero=True)
+    tracemalloc.start()
+    try:
+        minimize_width(points, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one float64 copy of the 301 x 301 vertex matrix
+    assert peak < 8 * 301**2
 
 
 def _exact_planar_width(pts):

@@ -8,6 +8,7 @@ from decimal import Decimal
 import pytest
 
 import simplexwidth
+from simplexwidth.cli import table_rows
 from simplexwidth.directions import (
     OptimalFamily,
     is_optimal_direction,
@@ -161,6 +162,11 @@ def test_value_classes_are_immutable_values(cls, args, kwargs, text, change):
     assert copy.copy(value) == value
 
 
+def _first_table_row(*args):
+    # table_rows is a generator: its checks run at the first row
+    return next(table_rows(*args))
+
+
 # (entry point, a call with one bad argument, the class the argument rule
 # gives it): a scalar of the wrong type or out of range raises ValueError,
 # DimensionError for an order; an argument that must be a value class,
@@ -213,6 +219,8 @@ BAD_ARGUMENTS = [
     (energy_push, (Vector((0.0, 0.0)), 0, Decimal("3")), ValueError),
     (energy_push, (Vector((0.0, 0.0)), 0, 10**400), ValueError),
     (OptimizerConfig, (64, 10_000, math.inf), ValueError),
+    # "no" is truthy: the row would run the optimizer and add its columns
+    (_first_table_row, (1, "no", 0, 1), ValueError),
 ]
 
 
@@ -261,6 +269,7 @@ BAD_ARGUMENTS = [
         "energy_push-new_value-decimal",
         "energy_push-new_value-int-overflow",
         "config-tol-inf",
+        "table_rows-include_numeric-str",
     ],
 )
 def test_bad_arguments_raise_by_the_rule(entry, args, error):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from simplexwidth import cli, closed_form, directions, verification
+from simplexwidth import cli, closed_form, directions, energy, optimizer, verification
 
 MAX_N = 4
 
@@ -26,6 +26,10 @@ def _wrong_standard_width(n):
 def _wrong_circumdistance(n):
     width, indistance, _ = _squared_pairs(n)
     return width, indistance, (n, n + 2)
+
+
+def _snap_keeps_nothing(best_u, best_w, pts, scale, sum_zero):
+    return best_u, best_w
 
 
 def _raises(*args):
@@ -82,6 +86,17 @@ DEFECTS = [
         },
     ),
     (
+        # a gap must be half the energy to count as an increase
+        "energy-verdict-threshold",
+        (energy, "ENERGY_REL_TOL", 0.5),
+        {"FAIL energy-fuzz: 91 of 100 instances failed"},
+    ),
+    (
+        "snap-never-kept",
+        (optimizer, "_snap", _snap_keeps_nothing),
+        {"FAIL optimizer-agreement: direction outside family at n=2"},
+    ),
+    (
         "check-raises",
         (verification, "check_energy_fuzz", _raises),
         {"FAIL energy-fuzz: RuntimeError: planted"},
@@ -95,7 +110,8 @@ DEFECTS = [
 def test_verify_fails_the_checks_that_catch_a_planted_defect(
     monkeypatch, capsys, patch, fails
 ):
-    # No row touches the energy path, so a short fuzz keeps this module fast.
+    # A short fuzz keeps this module fast; the energy row counts its
+    # failures out of these 100 trials.
     monkeypatch.setattr(verification, "FUZZ_TRIALS", 100)
     monkeypatch.setattr(*patch)
     code = cli.main(["verify", "--max-n", str(MAX_N)])
