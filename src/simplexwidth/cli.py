@@ -5,7 +5,8 @@ Subcommands: `table` (closed-form table, CSV or JSON lines), `width`
 minimizer), `directions` (optimal direction family), and `verify`
 (full cross-check battery).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or output
+that cannot be written.
 Identical command line and seed give byte-identical output.
 """
 
@@ -25,8 +26,6 @@ from .geometry import (
     MAX_ORDER,
     MAX_SEED,
     VERTEX_MAX_ORDER,
-    DimensionError,
-    PreconditionError,
     check_flag,
     check_order,
     regular_simplex_vertices,
@@ -38,9 +37,6 @@ from .verification import derive_seed, run_all_checks
 TABLE_MAX_N = 10_000
 TABLE_NUMERIC_MAX_N = 100
 VERIFY_MAX_N = 64
-# The optimizer holds only restarts x (n+1) arrays on the standard simplex,
-# but `optimize` builds the simplex's (n+1)^2 vertex coordinates to pass it.
-OPTIMIZE_MAX_N = VERTEX_MAX_ORDER
 # Each restart is one row of every restarts x (n+1) optimizer array and
 # one spawned seed sequence; the cap keeps those arrays near 8 MB at n = 1000.
 MAX_RESTARTS = 1024
@@ -72,7 +68,7 @@ def format_decimal(x: float) -> str:
     nor JSON.
     """
     text = format(x, ".12g")
-    if "." not in text and "e" not in text and "E" not in text:
+    if "." not in text and "e" not in text:
         # "inf", "-inf" and "nan" have neither, so only they and whole
         # numbers pay for this check.
         if not math.isfinite(x):
@@ -256,6 +252,7 @@ def _bounded_int(hi: int, lo: int = 1) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}")
         return value
 
+    parse.__name__ = "int"  # argparse names it: "invalid int value: 'x'"
     return parse
 
 
@@ -289,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser(
         "optimize", help="numerically minimize the width of the standard simplex"
     )
-    optimize.add_argument("--n", type=_bounded_int(OPTIMIZE_MAX_N), required=True)
+    # `optimize` builds the simplex's (n+1)^2 vertex coordinates to pass it.
+    optimize.add_argument("--n", type=_bounded_int(VERTEX_MAX_ORDER), required=True)
     optimize.add_argument("--restarts", type=_bounded_int(MAX_RESTARTS), default=64)
     optimize.add_argument("--seed", type=_bounded_int(MAX_SEED, 0), default=0)
     optimize.add_argument("--tol", type=float, default=1e-10)
@@ -323,11 +321,30 @@ def main(argv: Sequence[str] | None = None) -> int:
             return exc.code
         return 0 if exc.code is None else 2
     try:
-        return args.func(args)
-    except (DimensionError, PreconditionError, ValueError) as exc:
-        # Bad argument values surface as module validation errors.
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Stdout is a closed pipe or a full disk: not a failed check.
+        _discard_stdout()
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # Bad argument values surface as the module checks' ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor, if it has one, at the null device, so that
+    the interpreter's final flush of what is still buffered cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 
 # MAX_ORDER, the order cap that check_order applies, is re-exported.
-from .geometry import MAX_ORDER, Vector, check_int, check_order
+from .geometry import MAX_ORDER, Vector, check_int, check_order, check_type
 
 
 class SimplexKind(Enum):
@@ -68,11 +68,9 @@ def width_squared(n: int, kind: SimplexKind) -> Fraction:
     """Exact squared width of the n-simplex of the given kind."""
     check_order(n)
     pair = _squared_pairs(n)[0]
-    if kind is SimplexKind.STANDARD:
+    if check_type(kind, SimplexKind, "kind") is SimplexKind.STANDARD:
         return Fraction(*pair)
-    if kind is SimplexKind.REGULAR:
-        return Fraction(*_halved(*pair))
-    raise TypeError(f"unknown simplex kind: {kind!r}")
+    return Fraction(*_halved(*pair))
 
 
 def width(n: int, kind: SimplexKind) -> float:

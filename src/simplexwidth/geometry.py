@@ -95,13 +95,6 @@ class Vector(Frozen):
     def dim(self) -> int:
         return len(self.coords)
 
-    def dot(self, other: Vector) -> float:
-        if check_type(other, Vector, "other").dim != self.dim:
-            raise DimensionError(
-                f"dimension mismatch: {self.dim} vs {other.dim}"
-            )
-        return math.fsum(a * b for a, b in zip(self.coords, other.coords))
-
     def norm_squared(self) -> float:
         return math.fsum(c * c for c in self.coords)
 
@@ -273,7 +266,7 @@ def projection_width(u: Direction, points: PointSet) -> float:
         raise DimensionError(
             f"dimension mismatch: direction {u.dim} vs points {points.dim}"
         )
-    dots = [u.vec.dot(p) for p in points]
+    dots = [math.fsum(a * b for a, b in zip(u.coords, p.coords)) for p in points]
     return max(dots) - min(dots)
 
 

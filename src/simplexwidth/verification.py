@@ -167,8 +167,6 @@ def check_direction_families(max_n: int = ODD_FAMILY_MAX_N) -> CheckResult:
     odd_max_n = _bound(max_n, ODD_FAMILY_MAX_N)
     even_max_n = min(odd_max_n, EVEN_FAMILY_MAX_N)
     for n in range(1, odd_max_n + 1):
-        if n % 2 == 0 and n > even_max_n:
-            continue
         family = enumerate_optimal_directions(n)
         expected_count = math.comb(n + 1, (n + 1) // 2)
         if len(family) != expected_count:

@@ -1,6 +1,7 @@
 """Command-line contract: formats, golden values, exit codes, determinism."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -131,6 +132,15 @@ def test_table_range_validation(capsys):
     assert "--max-n" in err
     code, _, err = run(capsys, "table", "--max-n", "101", "--include-numeric")
     assert code == 2
+
+
+def test_non_integer_is_a_usage_error_naming_int(capsys):
+    code, out, err = run(capsys, "table", "--max-n", "x")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "simplexwidth table: error: argument --max-n: invalid int value: 'x'"
+    )
 
 
 def test_width_exact_and_decimal(capsys):
@@ -377,7 +387,7 @@ def test_optimize_output(capsys):
 
 def test_optimize_cap_is_usage_error(capsys):
     # rejected before any vertex is built
-    code, _, err = run(capsys, "optimize", "--n", str(cli.OPTIMIZE_MAX_N + 1))
+    code, _, err = run(capsys, "optimize", "--n", str(cli.VERTEX_MAX_ORDER + 1))
     assert code == 2
     assert "1..1000" in err
 
@@ -471,17 +481,67 @@ def test_usage_errors(capsys):
     assert run(capsys, "table", "--help")[0] == 0
 
 
-def test_no_color_env_is_respected(monkeypatch):
-    class FakeTty(io.StringIO):
-        def isatty(self):
-            return True
+class FakeTty(io.StringIO):
+    def isatty(self):
+        return True
 
+
+def test_no_color_env_is_respected(monkeypatch):
     monkeypatch.delenv("NO_COLOR", raising=False)
     assert cli._use_color(FakeTty())
     monkeypatch.setenv("NO_COLOR", "1")
     assert not cli._use_color(FakeTty())
     monkeypatch.delenv("NO_COLOR", raising=False)
     assert not cli._use_color(io.StringIO())
+
+
+def test_verify_colors_pass_and_fail_on_a_tty(monkeypatch):
+    results = [
+        verification.CheckResult("good", True, "held"),
+        verification.CheckResult("bad", False, "broke"),
+    ]
+    monkeypatch.setattr(cli, "run_all_checks", lambda max_n, seed: results)
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    out = FakeTty()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["verify", "--max-n", "1"]) == 1
+    assert out.getvalue() == (
+        "\x1b[32mPASS\x1b[0m good: held\n"
+        "\x1b[31mFAIL\x1b[0m bad: broke\n"
+        "1 of 2 checks failed\n"
+    )
+
+
+def test_a_full_disk_exits_2_with_one_error_line(monkeypatch, capsys):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    assert cli.main(["table", "--max-n", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--max-n", "10000"], ["directions", "--n", "20", "--list"]],
+    ids=["table", "directions"],
+)
+def test_a_pipe_closed_after_one_line_exits_2_without_traceback(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simplexwidth.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline().endswith(b"\n")
+    proc.stdout.close()  # the reader goes away, as `head -n 1` does
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode() == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
 
 
 EXACT_COMMANDS = [

@@ -9,6 +9,7 @@ import pytest
 
 import simplexwidth
 from simplexwidth.cli import table_rows
+from simplexwidth.closed_form import width_squared
 from simplexwidth.directions import (
     OptimalFamily,
     is_optimal_direction,
@@ -192,7 +193,6 @@ BAD_ARGUMENTS = [
     (projection_width, ((1.0, 0.0), standard_simplex_vertices(1)), TypeError),
     (projection_width, (Direction(_UNIT), ((0.0, 0.0),)), TypeError),
     (distance, ((1.0,), Vector((1.0,))), TypeError),
-    (Vector((1.0,)).dot, ((1.0,),), TypeError),
     (grid_width_oracle, (((0.0, 0.0), (1.0, 0.0)), 16), TypeError),
     (check_exact_identities, (0,), DimensionError),
     (check_radii_distances, (-3,), DimensionError),
@@ -221,6 +221,8 @@ BAD_ARGUMENTS = [
     (OptimizerConfig, (64, 10_000, math.inf), ValueError),
     # "no" is truthy: the row would run the optimizer and add its columns
     (_first_table_row, (1, "no", 0, 1), ValueError),
+    # the kind's value in place of the kind
+    (width_squared, (5, "regular"), TypeError),
 ]
 
 
@@ -247,7 +249,6 @@ BAD_ARGUMENTS = [
         "projection_width-u-tuple",
         "projection_width-points-tuple",
         "distance-tuple",
-        "vector-dot-tuple",
         "grid_width_oracle-points-tuple",
         "check_exact_identities-max_n-0",
         "check_radii_distances-max_n-negative",
@@ -270,6 +271,7 @@ BAD_ARGUMENTS = [
         "energy_push-new_value-int-overflow",
         "config-tol-inf",
         "table_rows-include_numeric-str",
+        "width_squared-kind-str",
     ],
 )
 def test_bad_arguments_raise_by_the_rule(entry, args, error):
