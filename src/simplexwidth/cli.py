@@ -38,7 +38,8 @@ TABLE_MAX_N = 10_000
 TABLE_NUMERIC_MAX_N = 100
 VERIFY_MAX_N = 64
 # Each restart is one row of every restarts x (n+1) optimizer array and
-# one spawned seed sequence; the cap keeps those arrays near 8 MB at n = 1000.
+# one spawned seed sequence; the cap keeps those arrays near 8 MB at
+# n = 1000, of which the minimizer holds about five at a time.
 MAX_RESTARTS = 1024
 # `directions` prints the family size C(n+1, t) in decimal; 14,290 is the
 # largest order whose size fits Python's default 4,300-digit limit on
@@ -256,8 +257,16 @@ def _bounded_int(hi: int, lo: int = 1) -> Callable[[str], int]:
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An `argparse.ArgumentParser` whose help, like every other output,
+    raises when it cannot be written; argparse's own ignores that."""
+
+    def print_help(self, file: IO[str] | None = None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simplexwidth",
         description="Exact widths, radii, and optimal directions of regular simplices.",
     )
@@ -315,12 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return 0 if exc.code is None else 2
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # Help went to stdout's buffer: a full disk or a closed pipe
+            # shows when it is flushed.
+            sys.stdout.flush()
+            if isinstance(exc.code, int):
+                return exc.code
+            return 0 if exc.code is None else 2
         code = args.func(args)
         sys.stdout.flush()
     except OSError as exc:

@@ -171,12 +171,17 @@ def _snap(
     `np.linalg.norm` of a vector, and each projection a matrix-vector
     product with ``pts``, or ``scale`` times the row for a vertex matrix
     that is ``scale`` times the identity, which leaves ``pts`` unread.
+
+    The only float array of ``best_u``'s shape that it makes is the one
+    it returns. On a c*I matrix a row's width is its largest and smallest
+    coordinate times c, swapped when c < 0: rounding is monotone, so
+    these are the bits of the extremes of the row times c.
     """
     import numpy as np
 
-    lo = best_u.min(axis=1, keepdims=True)
-    hi = best_u.max(axis=1, keepdims=True)
-    snapped = np.where(best_u < 0, lo, hi)
+    snapped = np.empty_like(best_u)
+    np.copyto(snapped, best_u.max(axis=1, keepdims=True))
+    np.copyto(snapped, best_u.min(axis=1, keepdims=True), where=best_u < 0)
     if sum_zero:
         snapped -= snapped.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.matmul(snapped[:, None, :], snapped[:, :, None])[:, 0])
@@ -184,12 +189,17 @@ def _snap(
     norms[~valid] = 1.0
     snapped /= norms
     if scale:
-        dots = snapped * scale
+        top = snapped.max(axis=1) * scale
+        bottom = snapped.min(axis=1) * scale
+        if scale < 0:
+            top, bottom = bottom, top
+        widths = top - bottom
     else:
         dots = np.matmul(pts, snapped[:, :, None])[:, :, 0]
-    widths = dots.max(axis=1) - dots.min(axis=1)
+        widths = dots.max(axis=1) - dots.min(axis=1)
     keep = valid & (widths <= best_w)
-    return np.where(keep[:, None], snapped, best_u), np.where(keep, widths, best_w)
+    np.copyto(snapped, best_u, where=~keep[:, None])
+    return snapped, np.where(keep, widths, best_w)
 
 
 def _identity_scale(points: PointSet) -> float:
@@ -235,7 +245,9 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     of a matrix product, and the vertex matrix is never built. Each dot
     product has one nonzero term, so the scaled coordinates equal the
     matrix product exactly and the result is the same, bit for bit, as
-    on the general path.
+    on the general path. The step and a scratch array are made once,
+    so at most about five arrays of restarts x (n+1) floats are live at
+    a time, and only the incumbents and their snap at the end.
 
     On such a matrix the run also stops early, so ``max_iters`` is only
     an upper bound. Every SNAP_EVERY iterations it calls the same
@@ -269,8 +281,12 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     U = inits.copy()
     rows = np.arange(r)
     checks: list[float] = []
+    # Made once: the c*I step, and a scratch that holds in turn
+    # <g, U> U, then U*U, then (on c*I) the projections U*scale.
+    step = np.empty((r, dim)) if scale else None
+    scratch = np.empty((r, dim))
 
-    dots = U * scale if scale else U @ pts.T
+    dots = np.multiply(U, scale, out=scratch) if scale else U @ pts.T
     hi = dots.argmax(axis=1)
     lo = dots.argmin(axis=1)
     widths = dots[rows, hi] - dots[rows, lo]
@@ -288,7 +304,8 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
             # +0.0 only: its coordinate sum is exactly 0, so centering
             # leaves it as it is, and <g, U> has two nonzero terms,
             # c*U[hi] - c*U[lo], which is exactly the current width.
-            g = np.zeros((r, dim))
+            g = step
+            g.fill(0.0)
             g[rows, hi] = scale
             g[rows, lo] -= scale
             gu = widths[:, None]
@@ -297,19 +314,19 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
             if sum_zero:
                 g -= add(g, axis=1, keepdims=True) / dim
             gu = add(g * U, axis=1, keepdims=True)
-        g -= gu * U
+        g -= np.multiply(gu, U, out=scratch)
         g *= STEP_INIT / math.sqrt(k)
         U -= g
         if sum_zero:
             U -= add(U, axis=1, keepdims=True) / dim
-        norms = np.sqrt(add(U * U, axis=1, keepdims=True))
+        norms = np.sqrt(add(np.multiply(U, U, out=scratch), axis=1, keepdims=True))
         if norms.min() < 1e-12:
             degenerate = norms[:, 0] < 1e-12
             U[degenerate] = inits[degenerate]
             norms[degenerate] = 1.0
         U /= norms
 
-        dots = U * scale if scale else U @ pts.T
+        dots = np.multiply(U, scale, out=scratch) if scale else U @ pts.T
         hi = dots.argmax(axis=1)
         lo = dots.argmin(axis=1)
         widths = dots[rows, hi] - dots[rows, lo]
@@ -320,13 +337,19 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
         np.copyto(best_u, U, where=improved[:, None])
         np.copyto(best_w, widths, where=improved)
         if check:
+            # Between steps the scratch holds nothing that is read again,
+            # so the snap may take its memory.
+            scratch = dots = None
             checks.append(float(_snap(best_u, best_w, pts, scale, sum_zero)[1].min()))
+            scratch = np.empty((r, dim))
             if (
                 len(checks) > PATIENCE
                 and checks[-1 - PATIENCE] - checks[-1] <= cfg.tol
             ):
                 break
 
+    # Only the incumbents outlive the descent.
+    del U, inits, g, step, scratch, dots
     best_u, best_w = _snap(best_u, best_w, pts, scale, sum_zero)
     winner = int(np.argmin(best_w))
     u = best_u[winner]

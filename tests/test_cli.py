@@ -525,6 +525,33 @@ def test_a_full_disk_exits_2_with_one_error_line(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "failing",
+    [{"write", "flush"}, {"write"}, {"flush"}],
+    ids=["write-and-flush", "unbuffered", "buffered"],
+)
+@pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]], ids=["top", "table"])
+def test_help_that_cannot_be_written_exits_2(monkeypatch, capsys, argv, failing):
+    # argparse ignores a failed write of its help: exit 0, nothing written.
+    # A buffered stdout fails at the flush, an unbuffered one
+    # (PYTHONUNBUFFERED=1) at the write.
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            if "write" in failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(text)
+
+        def flush(self):
+            if "flush" in failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [["table", "--max-n", "10000"], ["directions", "--n", "20", "--list"]],
     ids=["table", "directions"],

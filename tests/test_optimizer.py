@@ -372,7 +372,9 @@ def test_early_stop_keeps_the_full_run_width(n, restarts):
 
 @pytest.mark.parametrize("sum_zero", [True, False])
 @pytest.mark.parametrize(
-    "scale", [1.0, 1.0 / math.sqrt(2.0), 0.0], ids=["c=1", "c=1/sqrt2", "general"]
+    "scale",
+    [1.0, 1.0 / math.sqrt(2.0), -1.0, 0.0],
+    ids=["c=1", "c=1/sqrt2", "c=-1", "general"],
 )
 def test_snap_is_bitwise_the_per_row_snap(scale, sum_zero):
     # scale 0.0 stands for a general vertex matrix
@@ -444,6 +446,26 @@ def test_identity_path_allocates_nothing_of_the_vertex_matrix_size():
         tracemalloc.stop()
     # one float64 copy of the 301 x 301 vertex matrix
     assert peak < 8 * 301**2
+
+
+def test_identity_path_holds_few_arrays_of_the_restarts_size():
+    # the descent's iterates, their starts, the incumbents, the step and
+    # one scratch; the stall check's and the final snap each add one
+    # array while the scratch (and at the end all but the incumbents)
+    # is freed
+    points = standard_simplex_vertices(200)
+    cfg = OptimizerConfig(restarts=64, max_iters=2 * SNAP_EVERY, constrain_sum_zero=True)
+    # a first call imports numpy's lazily loaded parts outside the trace
+    minimize_width(points, OptimizerConfig(restarts=1, max_iters=1))
+    tracemalloc.start()
+    try:
+        result = minimize_width(points, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == cfg.max_iters
+    # in arrays of 64 x 201 float64; numpy's ufunc buffers add a fixed 64 KiB
+    assert peak / (8 * 64 * 201) < 7.0
 
 
 def _exact_planar_width(pts):
