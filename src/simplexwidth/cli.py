@@ -39,7 +39,7 @@ TABLE_NUMERIC_MAX_N = 100
 VERIFY_MAX_N = 64
 # Each restart is one row of every restarts x (n+1) optimizer array and
 # one spawned seed sequence; the cap keeps those arrays near 8 MB at
-# n = 1000, of which the minimizer holds about five at a time.
+# n = 1000, of which the minimizer holds three at a time.
 MAX_RESTARTS = 1024
 # `directions` prints the family size C(n+1, t) in decimal; 14,290 is the
 # largest order whose size fits Python's default 4,300-digit limit on

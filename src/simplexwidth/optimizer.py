@@ -245,9 +245,9 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     of a matrix product, and the vertex matrix is never built. Each dot
     product has one nonzero term, so the scaled coordinates equal the
     matrix product exactly and the result is the same, bit for bit, as
-    on the general path. The step and a scratch array are made once,
-    so at most about five arrays of restarts x (n+1) floats are live at
-    a time, and only the incumbents and their snap at the end.
+    on the general path. The descent holds three arrays of restarts x
+    (n+1) floats: the iterates, the incumbents and one scratch, whose
+    place each snap's array takes.
 
     On such a matrix the run also stops early, so ``max_iters`` is only
     an upper bound. Every SNAP_EVERY iterations it calls the same
@@ -277,13 +277,11 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     r = cfg.restarts
     add = np.add.reduce
 
-    inits = _restart_inits(cfg, dim)
-    U = inits.copy()
+    U = _restart_inits(cfg, dim)
     rows = np.arange(r)
     checks: list[float] = []
-    # Made once: the c*I step, and a scratch that holds in turn
+    # Made once: a scratch that holds in turn the step (on c*I) or
     # <g, U> U, then U*U, then (on c*I) the projections U*scale.
-    step = np.empty((r, dim)) if scale else None
     scratch = np.empty((r, dim))
 
     dots = np.multiply(U, scale, out=scratch) if scale else U @ pts.T
@@ -301,28 +299,28 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     for k in range(1, cfg.max_iters + 1):
         if scale:
             # The general step's g = pts[hi] - pts[lo] holds c, -c and
-            # +0.0 only: its coordinate sum is exactly 0, so centering
-            # leaves it as it is, and <g, U> has two nonzero terms,
-            # c*U[hi] - c*U[lo], which is exactly the current width.
-            g = step
-            g.fill(0.0)
-            g[rows, hi] = scale
-            g[rows, lo] -= scale
-            gu = widths[:, None]
+            # +0.0 only, so centering leaves it as it is and <g, U> is
+            # exactly the width. The scratch takes (<g, U> U - g) * step,
+            # the exact negation of the general term, so U += it is the
+            # general U -= term bit for bit, signed zeros included.
+            np.multiply(widths[:, None], U, out=scratch)
+            scratch[rows, hi] -= scale
+            scratch[rows, lo] += scale
+            scratch *= STEP_INIT / math.sqrt(k)
+            U += scratch
         else:
             g = pts[hi] - pts[lo]
             if sum_zero:
                 g -= add(g, axis=1, keepdims=True) / dim
-            gu = add(g * U, axis=1, keepdims=True)
-        g -= np.multiply(gu, U, out=scratch)
-        g *= STEP_INIT / math.sqrt(k)
-        U -= g
+            g -= np.multiply(add(g * U, axis=1, keepdims=True), U, out=scratch)
+            g *= STEP_INIT / math.sqrt(k)
+            U -= g
         if sum_zero:
             U -= add(U, axis=1, keepdims=True) / dim
         norms = np.sqrt(add(np.multiply(U, U, out=scratch), axis=1, keepdims=True))
         if norms.min() < 1e-12:
             degenerate = norms[:, 0] < 1e-12
-            U[degenerate] = inits[degenerate]
+            U[degenerate] = _restart_inits(cfg, dim)[degenerate]
             norms[degenerate] = 1.0
         U /= norms
 
@@ -349,7 +347,7 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
                 break
 
     # Only the incumbents outlive the descent.
-    del U, inits, g, step, scratch, dots
+    U = g = scratch = dots = None
     best_u, best_w = _snap(best_u, best_w, pts, scale, sum_zero)
     winner = int(np.argmin(best_w))
     u = best_u[winner]

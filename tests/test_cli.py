@@ -1,5 +1,6 @@
 """Command-line contract: formats, golden values, exit codes, determinism."""
 
+import contextlib
 import csv
 import errno
 import hashlib
@@ -7,13 +8,17 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexwidth import cli, closed_form, verification
 from simplexwidth.closed_form import (
@@ -23,7 +28,7 @@ from simplexwidth.closed_form import (
     width_squared,
 )
 from simplexwidth.directions import ENUMERATION_CAP, enumerate_optimal_directions
-from simplexwidth.geometry import DimensionError, Direction, check_order
+from simplexwidth.geometry import MAX_SEED, DimensionError, Direction, check_order
 
 EXPECTED_TABLE_3 = (
     "n,parity,width_std_sq,width_reg_sq,width_reg,inradius,circumradius\n"
@@ -479,6 +484,115 @@ def test_usage_errors(capsys):
     assert run(capsys, "table")[0] == 2  # --max-n is required
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "table", "--help")[0] == 0
+
+
+# A grammar of command lines for the five subcommands. Every integer
+# option draws from its own values: the one below its range, in-range
+# values small enough that a command runs in milliseconds (orders <= 12,
+# restarts <= 4), and the one above its cap, spelled in ways that int()
+# reads or refuses.
+# ASCII, Arabic-Indic and full-width digits
+_DIGITS = tuple("".join(map(chr, range(zero, zero + 10))) for zero in (0x30, 0x660, 0xFF10))
+
+
+def _spellings(values):
+    """Ways of writing the integers in ``values``: in any of `_DIGITS`,
+    with an underscore, padded with whitespace, as a 5,000-digit number,
+    or not as an integer at all."""
+    digits = st.sampled_from(_DIGITS).map(lambda d: str.maketrans("0123456789", d))
+    return st.one_of(
+        st.builds(lambda v, table: str(v).translate(table), values, digits),
+        values.map(lambda v: ("-" if v < 0 else "") + "0_" + str(abs(v))),
+        st.builds(lambda w, v: w + str(v) + w, st.sampled_from([" ", "\t", "\u2003"]), values),
+        st.sampled_from(
+            ["1" + "0" * 4999, "-" + "9" * 5000, "", "-", "1__0", "_1", "0x10", "1.0", "\u00b2"]
+        ),
+    )
+
+
+def _int_tokens(lo, cap, small):
+    return _spellings(st.sampled_from([*range(lo - 1, min(cap, small) + 1), cap + 1]))
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "inf", "1e400", "1e-400", "-0.0", "1e-10", "0.5",
+                     "\uff11e-3", "1_0.5", " 1e-6 ", "0x1p-3", "1" * 5000]),
+)
+_SEED = _spellings(st.sampled_from([-1, 0, 1, 2, MAX_SEED, MAX_SEED + 1]))
+_RESTARTS = _int_tokens(1, cli.MAX_RESTARTS, 4)
+# option -> its value tokens, or None for a flag that takes no value
+_COMMANDS = {
+    "table": {
+        "--max-n": _int_tokens(1, cli.TABLE_MAX_N, 12),
+        "--format": st.sampled_from(["csv", "json", "xml", "CSV"]),
+        "--include-numeric": None,
+        "--restarts": _RESTARTS,
+        "--seed": _SEED,
+    },
+    "width": {
+        "--n": _spellings(st.sampled_from([0, 1, 2, 12, cli.MAX_ORDER, cli.MAX_ORDER + 1])),
+        "--kind": st.sampled_from(["standard", "regular", "unit"]),
+        "--exact": None,
+    },
+    "optimize": {
+        "--n": _int_tokens(1, cli.VERTEX_MAX_ORDER, 12),
+        "--restarts": _RESTARTS,
+        "--seed": _SEED,
+        "--tol": _FLOATS,
+    },
+    "directions": {
+        "--n": _spellings(
+            st.sampled_from([0, 1, 2, 12, 21, cli.DIRECTIONS_MAX_N, cli.DIRECTIONS_MAX_N + 1])
+        ),
+        "--list": None,
+    },
+    "verify": {"--max-n": _int_tokens(1, cli.VERIFY_MAX_N, 12), "--seed": _SEED},
+}
+# Unknown options, an option of another subcommand, help, and stray words.
+_UNKNOWN = ["--frobnicate", "--list", "--n=", "-x", "--", "-h", "extra", "table"]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    options = _COMMANDS[command]
+    # most command lines start with the first option, which `verify`
+    # defaults and the others require
+    words = [next(iter(options))] if draw(st.integers(0, 3)) else []
+    words += draw(st.lists(st.sampled_from(list(options)), max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(_UNKNOWN)))
+    argv = [command]
+    for word in words:
+        argv.append(word)
+        if options.get(word) is not None and draw(st.integers(0, 9)):
+            argv.append(draw(options[word]))
+    return argv
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# argparse's usage error: the usage lines, then "<prog>: error: <message>".
+_USAGE_ERROR = re.compile(r"usage: simplexwidth.*\nsimplexwidth[^\n]*: error: [^\n]*\n", re.S)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argvs())
+def test_no_command_line_escapes_the_exit_code_contract(argv):
+    with mock.patch.object(verification, "FUZZ_TRIALS", 100):
+        first = _run_quietly(argv)
+        assert _run_quietly(argv) == first
+    code, out, err = first
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert re.fullmatch(r"error: [^\n]*\n", err) or _USAGE_ERROR.fullmatch(err), err
 
 
 class FakeTty(io.StringIO):
