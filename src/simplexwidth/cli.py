@@ -295,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser(
         "optimize", help="numerically minimize the width of the standard simplex"
     )
-    # `optimize` builds the simplex's (n+1)^2 vertex coordinates to pass it.
+    # `optimize` passes the minimizer standard_simplex_vertices(n), which
+    # holds n and c, not its (n+1)^2 coordinates, and takes that builder's cap.
     optimize.add_argument("--n", type=_bounded_int(VERTEX_MAX_ORDER), required=True)
     optimize.add_argument("--restarts", type=_bounded_int(MAX_RESTARTS), default=64)
     optimize.add_argument("--seed", type=_bounded_int(MAX_SEED, 0), default=0)

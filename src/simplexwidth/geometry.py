@@ -8,6 +8,7 @@ width of a point set along a unit direction.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 # Absolute tolerance on the squared norm of a unit vector, and on the
 # coordinate sum of a sum-zero vector. Well above double rounding, far
@@ -19,8 +20,9 @@ SUM_ZERO_TOL = 1e-12
 # closed forms; every order check in the package applies it.
 MAX_ORDER = 10**6
 
-# Largest order the vertex builders accept: their (n+1)^2 coordinates are
-# Python floats, about 8 MB at this order.
+# Largest order the vertex builders accept. A built set stores n and c;
+# its (n+1)^2 coordinates, about 8 MB of tuples at this order, are made
+# only when its rows are read.
 VERTEX_MAX_ORDER = 1000
 
 # Largest seed: seeds are unsigned 64-bit integers.
@@ -44,13 +46,15 @@ class Frozen:
     ``Name(field=value, ...)``, and refuse attribute assignment and
     deletion. Keeping the plain instance ``__dict__`` (no ``__slots__``)
     lets ``copy``, ``pickle`` and ``functools.cached_property`` work.
+    Fields are read with ``getattr``, so a field may also be a
+    ``cached_property`` that fills itself on first read (`PointSet`'s
+    ``points``).
     """
 
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        attrs = self.__dict__
-        return tuple([attrs[name] for name in self._fields])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -147,10 +151,15 @@ class PointSet(Frozen):
     """Nonempty list of points sharing one ambient dimension.
 
     Duplicate points are legal; they never change a projection width.
+
+    The vertex builders make c times the identity of order n+1 as a set
+    that stores only ``_order`` n and ``_scale`` c (0.0 on sets given as
+    rows). ``dim`` and ``len`` read n, and the rows are built when first
+    read, so such a set equals, hashes and prints as the set of its rows.
     """
 
     _fields = ("points",)
-    points: tuple[Vector, ...]
+    _scale = 0.0
 
     def __init__(self, points: tuple[Vector, ...]) -> None:
         points = tuple(points)
@@ -161,12 +170,24 @@ class PointSet(Frozen):
             raise DimensionError("all points must share one dimension")
         self.__dict__["points"] = points
 
+    @cached_property
+    def points(self) -> tuple[Vector, ...]:
+        # Reached only by a set made by `_scaled_identity`: __init__ stores
+        # the rows of every other set.
+        dim, c = self._order + 1, self._scale
+        rows = []
+        for i in range(dim):
+            coords = [0.0] * dim
+            coords[i] = c
+            rows.append(Vector(tuple(coords)))
+        return tuple(rows)
+
     @property
     def dim(self) -> int:
-        return self.points[0].dim
+        return self._order + 1 if self._scale else self.points[0].dim
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self._order + 1 if self._scale else len(self.points)
 
     def __iter__(self):
         return iter(self.points)
@@ -229,15 +250,13 @@ def check_order(n: int, cap: int = MAX_ORDER) -> None:
     check_int(n, "simplex order", 1, cap, DimensionError)
 
 
-def _scaled_identity_rows(n: int, c: float) -> PointSet:
-    """The rows of c times the identity of order n+1, off-diagonals +0.0."""
+def _scaled_identity(n: int, c: float) -> PointSet:
+    """c times the identity of order n+1, off-diagonals +0.0, as a set
+    that stores n and c and builds its rows when they are first read."""
     check_order(n, VERTEX_MAX_ORDER)
-    points = []
-    for i in range(n + 1):
-        coords = [0.0] * (n + 1)
-        coords[i] = c
-        points.append(Vector(tuple(coords)))
-    return PointSet(tuple(points))
+    points = PointSet.__new__(PointSet)
+    points.__dict__.update(_order=n, _scale=c)
+    return points
 
 
 def standard_simplex_vertices(n: int) -> PointSet:
@@ -247,7 +266,7 @@ def standard_simplex_vertices(n: int) -> PointSet:
     hyperplane where the coordinates sum to 1. Orders above
     VERTEX_MAX_ORDER raise DimensionError before anything is built.
     """
-    return _scaled_identity_rows(n, 1.0)
+    return _scaled_identity(n, 1.0)
 
 
 def regular_simplex_vertices(n: int) -> PointSet:
@@ -256,7 +275,7 @@ def regular_simplex_vertices(n: int) -> PointSet:
     The basis-vector simplex scaled by 1/sqrt(2); pairwise distances 1.
     Orders above VERTEX_MAX_ORDER raise DimensionError.
     """
-    return _scaled_identity_rows(n, 1.0 / math.sqrt(2.0))
+    return _scaled_identity(n, 1.0 / math.sqrt(2.0))
 
 
 def projection_width(u: Direction, points: PointSet) -> float:

@@ -208,11 +208,14 @@ def _identity_scale(points: PointSet) -> float:
     every other entry +0.0. Returns 0.0 for any other set. The standard
     simplex has c = 1, the regular one c = 1/sqrt(2).
 
-    Rows are compared one at a time, as bytes, so nothing of size
-    (n+1)^2 is made: the bytes of c*e_i are the window of ``band`` (c
-    with dim - 1 zero doubles on each side) that starts i doubles
-    before c.
+    A set made by the vertex builders stores its c, which is returned
+    without a row being built. The rows of any other set are compared one
+    at a time, as bytes, so nothing of size (n+1)^2 is made: the bytes of
+    c*e_i are the window of ``band`` (c with dim - 1 zero doubles on each
+    side) that starts i doubles before c.
     """
+    if points._scale:
+        return points._scale
     dim = points.dim
     c = points.points[0].coords[0]
     if len(points) != dim or c == 0.0:
@@ -242,7 +245,8 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     When the vertex matrix is c times the identity (the standard and
     regular simplices), the projections of an iterate u are just its
     coordinates scaled by c, so they are computed as ``c * u`` instead
-    of a matrix product, and the vertex matrix is never built. Each dot
+    of a matrix product. The vertex matrix is never built, nor the rows
+    of a set made by the vertex builders. Each dot
     product has one nonzero term, so the scaled coordinates equal the
     matrix product exactly and the result is the same, bit for bit, as
     on the general path. The descent holds three arrays of restarts x

@@ -1,6 +1,8 @@
 """Vector, direction, and projection width primitives."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from simplexwidth.geometry import (
     regular_simplex_vertices,
     standard_simplex_vertices,
 )
+from simplexwidth.optimizer import _identity_scale
 
 coords_strategy = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -164,6 +167,34 @@ def test_regular_simplex_has_unit_edges(n):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert abs(distance(pts[i], pts[j]) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "build,c",
+    [(standard_simplex_vertices, 1.0), (regular_simplex_vertices, 1.0 / math.sqrt(2.0))],
+    ids=["standard", "regular"],
+)
+def test_built_vertices_are_the_point_set_of_their_rows(build, c):
+    # dim, len and the optimizer's c read the stored order and scale:
+    # less than one row's doubles, where the rows take 8 * 301^2 bytes
+    tracemalloc.start()
+    try:
+        points = build(300)
+        assert (points.dim, len(points), _identity_scale(points)) == (301, 301, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 301
+    # the rows are c times those of the identity, off-diagonals +0.0
+    rows = np.array([p.coords for p in build(6)])
+    assert rows.tobytes() == (np.eye(7) * c).tobytes()
+    explicit = PointSet(tuple(Vector(row) for row in rows))
+    assert build(6) == explicit and explicit == build(6)
+    assert hash(build(6)) == hash(explicit)
+    assert repr(build(6)) == repr(explicit)
+    for clone in (pickle.loads(pickle.dumps(build(6))), copy.copy(build(6))):
+        assert clone == explicit and clone.dim == len(clone) == 7
+    assert copy.deepcopy(build(6)) == explicit
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, 1.5, "3"])

@@ -420,6 +420,10 @@ def test_snap_is_bitwise_the_per_row_snap(scale, sum_zero):
 def test_identity_scale_detects_only_scaled_identities():
     assert _identity_scale(standard_simplex_vertices(4)) == 1.0
     assert _identity_scale(regular_simplex_vertices(4)) == 1.0 / math.sqrt(2.0)
+    # the explicit rows of both take the byte path to the same c
+    for build in (standard_simplex_vertices, regular_simplex_vertices):
+        explicit = _point_set([p.coords for p in build(4)])
+        assert _identity_scale(explicit) == _identity_scale(build(4))
     assert _identity_scale(_point_set([[0.0]])) == 0.0
     assert _identity_scale(unit_square()) == 0.0
     assert _identity_scale(_point_set([[1.0, -0.0], [0.0, 1.0]])) == 0.0
@@ -436,16 +440,20 @@ def test_identity_scale_detects_only_scaled_identities():
 
 
 def test_identity_path_allocates_nothing_of_the_vertex_matrix_size():
-    points = standard_simplex_vertices(300)
     cfg = OptimizerConfig(restarts=2, max_iters=1, constrain_sum_zero=True)
-    tracemalloc.start()
-    try:
-        minimize_width(points, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one float64 copy of the 301 x 301 vertex matrix
-    assert peak < 8 * 301**2
+    # the vertices built before the trace, and inside it
+    for built_in_trace in (False, True):
+        points = standard_simplex_vertices(300)
+        tracemalloc.start()
+        try:
+            if built_in_trace:
+                points = standard_simplex_vertices(300)
+            minimize_width(points, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 copy of the 301 x 301 vertex matrix
+        assert peak < 8 * 301**2
 
 
 def test_identity_path_holds_few_arrays_of_the_restarts_size():
