@@ -1,11 +1,21 @@
 """Optimal direction families for the simplex width.
 
-The width of the standard n-simplex is achieved by unit sum-zero
-directions taking exactly two coordinate values alpha < 0 < beta, with
-t = (n+1)//2 coordinates at alpha. For odd n that family is the set of
-balanced sign vectors scaled by 1/sqrt(n+1), and no other direction
-achieves the width; for even n it is the t = n/2 two-value family (with
-no uniqueness claim).
+The width of the standard n-simplex K is achieved by the unit sum-zero
+directions taking two coordinate values alpha < 0 < beta, with
+t = (n+1)//2 coordinates at alpha, and their negations, and by no other
+direction. For odd n this family is the balanced sign vectors scaled by
+1/sqrt(n+1), which holds its own negations. The proof, for every n:
+
+* The width along u is h_K(u) + h_K(-u) = h_{K-K}(u), so the width is
+  the least support value of K - K over unit sum-zero u.
+* Only the unit facet normals of K - K attain it: any other unit u is
+  a positive combination of two or more non-parallel unit facet normals,
+  so its support value exceeds the least facet distance of K - K.
+* The facets of a simplex's K - K are the bipartitions of its vertices.
+  A bipartition with k vertices on one side has a two-valued normal
+  with k low coordinates, at squared distance (n+1)/(k(n+1-k)).
+* That distance is least exactly at k in {floor((n+1)/2), ceil((n+1)/2)}:
+  k = t, and for even n also k = t + 1, the negations of k = t.
 """
 
 from __future__ import annotations
@@ -93,7 +103,8 @@ def enumerate_optimal_directions(n: int) -> list[Direction]:
 
     Odd n: the C(n+1, (n+1)/2) balanced sign vectors scaled by
     1/sqrt(n+1), negations included. Even n: the C(n+1, n/2) two-value
-    directions with t = n/2, one per choice of low coordinates.
+    directions with t = n/2, one per choice of low coordinates; the
+    optimal set is these directions and their negations.
     """
     family = OptimalFamily(n)
     return [make_two_value_direction(n, family.t, low) for low in family.low_sets()]
@@ -103,10 +114,8 @@ def is_optimal_direction(n: int, u: Direction) -> bool:
     """Structural membership test against the optimal family.
 
     True iff u or -u matches, coordinate by coordinate within
-    MEMBERSHIP_TOL, a two-value direction with t = optimal_t(n). For odd n a
-    True/False answer is a complete optimality verdict; for even n True
-    means membership in the constructed family, with no claim that
-    False implies a suboptimal direction.
+    MEMBERSHIP_TOL, a two-value direction with t = optimal_t(n): for
+    every n a complete optimality verdict (see the module docstring).
     """
     family = OptimalFamily(n)
     if check_type(u, Direction, "u").dim != n + 1:

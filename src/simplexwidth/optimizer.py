@@ -19,7 +19,6 @@ every run deterministic.
 from __future__ import annotations
 
 import math
-import struct
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
@@ -202,33 +201,6 @@ def _snap(
     return snapped, np.where(keep, widths, best_w)
 
 
-def _identity_scale(points: PointSet) -> float:
-    """The c of a point set whose rows are exactly c times the rows of the
-    identity: as many points as coordinates, c != 0 the first coordinate,
-    every other entry +0.0. Returns 0.0 for any other set. The standard
-    simplex has c = 1, the regular one c = 1/sqrt(2).
-
-    A set made by the vertex builders stores its c, which is returned
-    without a row being built. The rows of any other set are compared one
-    at a time, as bytes, so nothing of size (n+1)^2 is made: the bytes of
-    c*e_i are the window of ``band`` (c with dim - 1 zero doubles on each
-    side) that starts i doubles before c.
-    """
-    if points._scale:
-        return points._scale
-    dim = points.dim
-    c = points.points[0].coords[0]
-    if len(points) != dim or c == 0.0:
-        return 0.0
-    pack = struct.Struct(f"{dim}d").pack
-    zeros = bytes(8 * (dim - 1))
-    band = zeros + struct.pack("d", c) + zeros
-    for i, p in enumerate(points):
-        if not band.startswith(pack(*p.coords), 8 * (dim - 1 - i)):
-            return 0.0
-    return c
-
-
 def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     """Best-of-restarts projected subgradient descent for the width.
 
@@ -242,8 +214,9 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     the best width by less than ``tol``, and ``iterations`` is the
     number of iterations run.
 
-    When the vertex matrix is c times the identity (the standard and
-    regular simplices), the projections of an iterate u are just its
+    When the vertex matrix is c times the identity, as the point set
+    records in its ``_scale`` (the standard and regular simplices, built
+    or given as rows), the projections of an iterate u are just its
     coordinates scaled by c, so they are computed as ``c * u`` instead
     of a matrix product. The vertex matrix is never built, nor the rows
     of a set made by the vertex builders. Each dot
@@ -276,7 +249,7 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     dim = check_type(points, PointSet, "points").dim
     sum_zero = check_type(cfg, OptimizerConfig, "cfg").constrain_sum_zero
     check_int(dim - sum_zero, "search dimension", 1, error=DimensionError)
-    scale = _identity_scale(points)
+    scale = points._scale
     pts = None if scale else _points_matrix(points)
     r = cfg.restarts
     add = np.add.reduce

@@ -23,7 +23,6 @@ from simplexwidth.geometry import (
     regular_simplex_vertices,
     standard_simplex_vertices,
 )
-from simplexwidth.optimizer import _identity_scale
 
 coords_strategy = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -175,12 +174,12 @@ def test_regular_simplex_has_unit_edges(n):
     ids=["standard", "regular"],
 )
 def test_built_vertices_are_the_point_set_of_their_rows(build, c):
-    # dim, len and the optimizer's c read the stored order and scale:
+    # dim, len and _scale read the stored order and scale:
     # less than one row's doubles, where the rows take 8 * 301^2 bytes
     tracemalloc.start()
     try:
         points = build(300)
-        assert (points.dim, len(points), _identity_scale(points)) == (301, 301, c)
+        assert (points.dim, len(points), points._scale) == (301, 301, c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,6 +1,8 @@
 """Subgradient minimizer, dense grid oracle, and exact enumeration."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -30,7 +32,6 @@ from simplexwidth.optimizer import (
 )
 from simplexwidth.optimizer import (
     _batch_widths,
-    _identity_scale,
     _points_matrix,
     _restart_inits,
     _snap,
@@ -336,7 +337,7 @@ def test_early_stop_is_the_reference_loop_cut_short(points, sum_zero):
     # textbook loop returns with max_iters=k; other point sets never stop
     cfg = OptimizerConfig(seed=41, constrain_sum_zero=sum_zero)
     result = minimize_width(points, cfg)
-    if not _identity_scale(points):
+    if not points._scale:
         assert result.iterations == cfg.max_iters
         return
     assert result.iterations < cfg.max_iters
@@ -417,38 +418,53 @@ def test_snap_is_bitwise_the_per_row_snap(scale, sum_zero):
     assert min(kept.values()) > 0
 
 
-def test_identity_scale_detects_only_scaled_identities():
-    assert _identity_scale(standard_simplex_vertices(4)) == 1.0
-    assert _identity_scale(regular_simplex_vertices(4)) == 1.0 / math.sqrt(2.0)
+def test_point_set_records_its_scale_only_on_scaled_identities():
+    assert standard_simplex_vertices(4)._scale == 1.0
+    assert regular_simplex_vertices(4)._scale == 1.0 / math.sqrt(2.0)
     # the explicit rows of both take the byte path to the same c
     for build in (standard_simplex_vertices, regular_simplex_vertices):
         explicit = _point_set([p.coords for p in build(4)])
-        assert _identity_scale(explicit) == _identity_scale(build(4))
-    assert _identity_scale(_point_set([[0.0]])) == 0.0
-    assert _identity_scale(unit_square()) == 0.0
-    assert _identity_scale(_point_set([[1.0, -0.0], [0.0, 1.0]])) == 0.0
-    assert _identity_scale(_point_set([[2.0, 0.0], [0.0, 1.0]])) == 0.0
-    assert _identity_scale(_point_set([[0.0, 1.0], [1.0, 0.0]])) == 0.0
-    assert _identity_scale(_point_set([[-1.0, 0.0], [0.0, -1.0]])) == -1.0
-    # a -0.0 off the diagonal of a later row
+        assert explicit._scale == build(4)._scale
+    assert _point_set([[0.0]])._scale == 0.0
+    assert unit_square()._scale == 0.0
+    assert _point_set([[2.0, 0.0], [0.0, 1.0]])._scale == 0.0
+    assert _point_set([[0.0, 1.0], [1.0, 0.0]])._scale == 0.0
+    assert _point_set([[-1.0, 0.0], [0.0, -1.0]])._scale == -1.0
+    # the recorded scale and order survive pickling and copying
+    minus_identity = _point_set(-np.eye(4) + 0.0)
+    for clone in (
+        pickle.loads(pickle.dumps(minus_identity)),
+        copy.copy(minus_identity),
+        copy.deepcopy(minus_identity),
+    ):
+        assert clone._scale == -1.0 and clone.dim == len(clone) == 4
+    # a -0.0 off the diagonal, of the first row or a later one
     rows = np.eye(5)
     rows[4, 0] = -0.0
-    assert _identity_scale(_point_set(rows)) == 0.0
     # not square: the rows of I with a zero row below, or with one row missing
-    assert _identity_scale(_point_set([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])) == 0.0
-    assert _identity_scale(_point_set([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])) == 0.0
+    for points in (
+        _point_set([[1.0, -0.0], [0.0, 1.0]]),
+        _point_set(rows),
+        _point_set([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+        _point_set([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    ):
+        assert points._scale == 0.0 and "_scale" not in vars(points)
 
 
 def test_identity_path_allocates_nothing_of_the_vertex_matrix_size():
     cfg = OptimizerConfig(restarts=2, max_iters=1, constrain_sum_zero=True)
-    # the vertices built before the trace, and inside it
-    for built_in_trace in (False, True):
-        points = standard_simplex_vertices(300)
+    prebuilt = standard_simplex_vertices(300)
+    rows = tuple(standard_simplex_vertices(300))
+    # the vertices built before the trace, built inside it, and given as
+    # their explicit rows inside it, where the set compares its rows
+    for make in (
+        lambda: prebuilt,
+        lambda: standard_simplex_vertices(300),
+        lambda: PointSet(rows),
+    ):
         tracemalloc.start()
         try:
-            if built_in_trace:
-                points = standard_simplex_vertices(300)
-            minimize_width(points, cfg)
+            minimize_width(make(), cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
