@@ -113,9 +113,6 @@ def table_rows(
     `_line_template`, from the closed forms' integer pairs."""
     check_order(max_n)
     check_flag(include_numeric, "include_numeric")
-    # Read from the module at call time, once per table, so a wrapper put
-    # there after import (as a tracer does) is the one called.
-    decimal = format_decimal
     for n in range(1, max_n + 1):
         (std_num, std_den), in_pair, circ_pair = _squared_pairs(n)
         reg_num, reg_den = _halved(std_num, std_den)
@@ -129,9 +126,9 @@ def table_rows(
             std_den,
             reg_num,
             reg_den,
-            decimal(width_reg),
-            decimal(math.sqrt(in_num / in_den)),
-            decimal(math.sqrt(circ_num / circ_den)),
+            format_decimal(width_reg),
+            format_decimal(math.sqrt(in_num / in_den)),
+            format_decimal(math.sqrt(circ_num / circ_den)),
         )
         if include_numeric:
             cfg = OptimizerConfig(
@@ -140,7 +137,7 @@ def table_rows(
                 constrain_sum_zero=True,
             )
             numeric = minimize_width(regular_simplex_vertices(n), cfg).width
-            row += (decimal(numeric), decimal(abs(numeric - width_reg)))
+            row += (format_decimal(numeric), format_decimal(abs(numeric - width_reg)))
         yield row
 
 
@@ -328,13 +325,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
-            # Help went to stdout's buffer: a full disk or a closed pipe
-            # shows when it is flushed.
-            sys.stdout.flush()
-            if isinstance(exc.code, int):
-                return exc.code
-            return 0 if exc.code is None else 2
-        code = args.func(args)
+            code = exc.code  # argparse exits with an int: 0 after help, 2 on misuse
+        else:
+            code = args.func(args)
+        # Help and command output wait in stdout's buffer: a full disk or a
+        # closed pipe shows when it is flushed.
         sys.stdout.flush()
     except OSError as exc:
         # Stdout is a closed pipe or a full disk: not a failed check.

@@ -25,8 +25,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-# MAX_ORDER, the order cap that check_order applies, is re-exported.
-from .geometry import MAX_ORDER, Vector, check_int, check_order, check_type
+from .geometry import Vector, check_int, check_order, check_type
 
 
 class SimplexKind(Enum):

@@ -295,10 +295,6 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
         if sum_zero:
             U -= add(U, axis=1, keepdims=True) / dim
         norms = np.sqrt(add(np.multiply(U, U, out=scratch), axis=1, keepdims=True))
-        if norms.min() < 1e-12:
-            degenerate = norms[:, 0] < 1e-12
-            U[degenerate] = _restart_inits(cfg, dim)[degenerate]
-            norms[degenerate] = 1.0
         U /= norms
 
         dots = np.multiply(U, scale, out=scratch) if scale else U @ pts.T

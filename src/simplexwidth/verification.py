@@ -41,7 +41,6 @@ from .optimizer import OptimizerConfig, minimize_width, two_value_enumeration_wi
 EXACT_MAX_N = 64
 RADII_MAX_N = 32
 ODD_FAMILY_MAX_N = 11
-EVEN_FAMILY_MAX_N = 10
 OPTIMIZER_MAX_N = 12
 FUZZ_TRIALS = 10_000
 
@@ -165,7 +164,7 @@ def check_direction_families(max_n: int = ODD_FAMILY_MAX_N) -> CheckResult:
     the standard simplex within 1e-12, with the right family size."""
     name = "direction-families"
     odd_max_n = _bound(max_n, ODD_FAMILY_MAX_N)
-    even_max_n = min(odd_max_n, EVEN_FAMILY_MAX_N)
+    even_max_n = min(odd_max_n, ODD_FAMILY_MAX_N - 1)
     for n in range(1, odd_max_n + 1):
         family = enumerate_optimal_directions(n)
         expected_count = math.comb(n + 1, (n + 1) // 2)

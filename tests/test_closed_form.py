@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from simplexwidth.cli import TABLE_MAX_N
 from simplexwidth.closed_form import (
-    MAX_ORDER,
     SimplexKind,
     _halved,
     _squared_pairs,
@@ -24,7 +23,12 @@ from simplexwidth.closed_form import (
     width_for_t,
     width_squared,
 )
-from simplexwidth.geometry import DimensionError, distance, standard_simplex_vertices
+from simplexwidth.geometry import (
+    MAX_ORDER,
+    DimensionError,
+    distance,
+    standard_simplex_vertices,
+)
 
 orders = st.integers(min_value=1, max_value=500)
 

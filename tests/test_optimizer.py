@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexwidth import optimizer
 from simplexwidth.closed_form import SimplexKind, width_squared
@@ -350,6 +352,35 @@ def test_early_stop_is_the_reference_loop_cut_short(points, sum_zero):
         constrain_sum_zero=cfg.constrain_sum_zero,
     )
     width, coords, converged, iterations = _reference_minimize_width(points, cut)
+    assert result.width == width
+    assert result.direction.coords == coords
+    assert result.converged == converged
+    assert result.iterations == iterations
+
+
+@st.composite
+def _general_runs(draw):
+    dim = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 8))
+    coords = st.tuples(*[st.floats(-10.0, 10.0, allow_subnormal=False)] * dim)
+    rows = draw(st.lists(coords, min_size=count, max_size=count))
+    cfg = OptimizerConfig(
+        restarts=draw(st.integers(1, 4)),
+        max_iters=draw(st.integers(1, 60)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        constrain_sum_zero=dim >= 2 and draw(st.booleans()),
+    )
+    return PointSet(tuple(Vector(row) for row in rows)), cfg
+
+
+@settings(max_examples=30, deadline=None)
+@given(_general_runs())
+def test_minimize_width_is_the_reference_loop_on_random_point_sets(run):
+    # the reference resets a row whose norm falls under 1e-12; the
+    # minimizer has no such reset, since a step never shortens a unit row
+    points, cfg = run
+    result = minimize_width(points, cfg)
+    width, coords, converged, iterations = _reference_minimize_width(points, cfg)
     assert result.width == width
     assert result.direction.coords == coords
     assert result.converged == converged

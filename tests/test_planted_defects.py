@@ -16,6 +16,9 @@ MAX_N = 4
 
 _alpha_beta = closed_form.alpha_beta
 _squared_pairs = closed_form._squared_pairs
+_alpha_beta_squared = verification.alpha_beta_squared
+_width_for_t = verification.width_for_t
+_width_squared = verification.width_squared
 
 
 def _wrong_standard_width(n):
@@ -26,6 +29,19 @@ def _wrong_standard_width(n):
 def _wrong_circumdistance(n):
     width, indistance, _ = _squared_pairs(n)
     return width, indistance, (n, n + 2)
+
+
+def _alpha_squared_doubled(n, t):
+    a_sq, b_sq = _alpha_beta_squared(n, t)
+    return 2 * a_sq, b_sq
+
+
+def _width_for_t_1_raised(n, t):
+    return _width_for_t(n, t) + (t == 1 and n >= 2)
+
+
+def _width_squared_raised(n, kind):
+    return _width_squared(n, kind) * Fraction(10**7 + 1, 10**7) ** 2
 
 
 def _snap_keeps_nothing(best_u, best_w, pts, scale, sum_zero):
@@ -74,6 +90,44 @@ DEFECTS = [
         "unit-edge-circumradius",
         (verification, "circumradius_squared", lambda n: Fraction(n, 2 * n + 1)),
         {"FAIL exact-rational-identities: circumradius formula mismatch at n=1"},
+    ),
+    (
+        "two-value-alpha-doubled",
+        (verification, "alpha_beta_squared", _alpha_squared_doubled),
+        {
+            "FAIL exact-rational-identities: two-value sanity identity fails "
+            "at n=1, t=1"
+        },
+    ),
+    (
+        "width-for-t-asymmetric",
+        (verification, "width_for_t", _width_for_t_1_raised),
+        {"FAIL exact-rational-identities: t symmetry fails at n=2"},
+    ),
+    (
+        "width-for-t-doubled",
+        (verification, "width_for_t", lambda n, t: 2 * _width_for_t(n, t)),
+        {"FAIL exact-rational-identities: t-argmin characterization fails at n=1"},
+    ),
+    (
+        "indistance-off",
+        (verification, "indistance_squared", lambda n: Fraction(1, n * (n + 1) + 1)),
+        {
+            "FAIL exact-rational-identities: indistance formula mismatch at n=1",
+            "FAIL radii-distances: facet distance off at n=1, j=0",
+        },
+    ),
+    (
+        # 1e-7 relative: inside optimizer-agreement's 1e-6 tolerance, so of
+        # its lines only the upper bound catches it
+        "width-raised-1e-7",
+        (verification, "width_squared", _width_squared_raised),
+        {
+            "FAIL exact-rational-identities: parity formula mismatch at n=1",
+            "FAIL enumeration-oracle: enumeration disagrees at n=1",
+            "FAIL direction-families: achievement fails at n=1",
+            "FAIL optimizer-agreement: upper bound violated at n=1",
+        },
     ),
     (
         "optimal-t-is-1",
