@@ -189,10 +189,11 @@ def _write_family(n: int, out: IO[str]) -> None:
     Only the representative is built, and so checked for unit norm and
     sum zero; every member permutes its coordinates, and math.fsum is
     correctly rounded, so no other check could fail. A line splits into
-    a head of t coordinates and a tail; lexicographic order over
-    lines is order over heads, then over tails. So the tails are joined
-    once, grouped by alpha count, and each head is written in one call
-    with every tail that completes it to t alphas (462 lines at most).
+    a head of t coordinates and a tail; lexicographic order over lines
+    is order over heads, then over tails. So the tails are joined once,
+    grouped by alpha count, and each head is written in one call with
+    every tail that completes it to t alphas (462 lines at most). Every
+    head has a nonempty tail group, since t <= n + 1 - t.
     """
     family = OptimalFamily(n)
     family.low_sets()  # raises above ENUMERATION_CAP before any write
@@ -204,10 +205,8 @@ def _write_family(n: int, out: IO[str]) -> None:
     for tail in product((low_text, high_text), repeat=n + 1 - t):
         tails[tail.count(low_text)].append(" ".join(tail))
     for head in product((low_text, high_text), repeat=t):
-        need = t - head.count(low_text)
-        if 0 <= need < len(tails):
-            prefix = " ".join(head) + " "
-            out.write(prefix + ("\n" + prefix).join(tails[need]) + "\n")
+        prefix = " ".join(head) + " "
+        out.write(prefix + ("\n" + prefix).join(tails[t - head.count(low_text)]) + "\n")
 
 
 def cmd_directions(args: argparse.Namespace) -> int:

@@ -158,9 +158,11 @@ def _snap(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Snap every row of ``best_u`` onto the two-value family: clamp each
     coordinate to its row's own extremes by sign, re-center the row if
-    constrained, renormalize. A row takes its snap only where the snap's
-    norm is at least 1e-12 and its width does not exceed ``best_w``.
-    Returns the new directions and widths; the inputs are not changed.
+    constrained, renormalize. A row takes its snap only where its width
+    does not exceed ``best_w``. Returns the new directions and widths;
+    the inputs are not changed. Rows must be unit and, if constrained,
+    centered, so of both signs: clamping never shrinks a coordinate, so a
+    snap's norm is at least 1, or re-centered (max - min) * sqrt((d-1)/d).
 
     This is the rounding step of the energy argument, which recovers the
     exact two-value direction from a noisy near-optimal iterate. It is
@@ -183,10 +185,7 @@ def _snap(
     np.copyto(snapped, best_u.min(axis=1, keepdims=True), where=best_u < 0)
     if sum_zero:
         snapped -= snapped.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.matmul(snapped[:, None, :], snapped[:, :, None])[:, 0])
-    valid = norms[:, 0] >= 1e-12
-    norms[~valid] = 1.0
-    snapped /= norms
+    snapped /= np.sqrt(np.matmul(snapped[:, None, :], snapped[:, :, None])[:, 0])
     if scale:
         top = snapped.max(axis=1) * scale
         bottom = snapped.min(axis=1) * scale
@@ -196,7 +195,7 @@ def _snap(
     else:
         dots = np.matmul(pts, snapped[:, :, None])[:, :, 0]
         widths = dots.max(axis=1) - dots.min(axis=1)
-    keep = valid & (widths <= best_w)
+    keep = widths <= best_w
     np.copyto(snapped, best_u, where=~keep[:, None])
     return snapped, np.where(keep, widths, best_w)
 

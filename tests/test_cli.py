@@ -266,13 +266,20 @@ class _HashingStdout(io.TextIOBase):
 @pytest.mark.parametrize(
     "n,lines,digest",
     [
+        (13, 3_432, "fc8d8bb6a1e073edd1abf65e90199e4d0bebe3ce7ce64952f2aaf4ec5a28bd5c"),
+        (14, 6_435, "e351b0fa83884881b7c1268ddeca78a6143fd95923cdcb66ad50b4052e796bab"),
+        (15, 12_870, "78091aadc2da0fa4af1286280464bb349ce03c280c6d4ed5fa17e53d030d962e"),
+        (16, 24_310, "c112ed7b76659ad160c4792941bfe99fd83b2de1a6eb56b102786106565276ba"),
+        (17, 48_620, "5f953aa1b944ec66a272fe5108f04f294a6f4d871727439e18629f9959b4201f"),
         (18, 92_378, "fbf8d9211029e425df29bd43afff386623280963dd52cec6012e146d78f84f6c"),
+        (19, 184_756, "3120d1afe69781d03ae89d83d583f254b4cc7870963122e7f2069eff9de3ab88"),
         (20, 352_716, "e532d21ce5316a1e8e1025d19d8b5ccb7310c62d4f3160723ed7608f5c6aa4d8"),
     ],
 )
 def test_directions_list_golden_digest(monkeypatch, n, lines, digest):
-    # n = 20 is the enumeration cap; its ~120 MB of output is hashed as it
-    # streams, never held.
+    # Every order above the content test's, up to the enumeration cap
+    # n = 20, whose ~120 MB of output is hashed as it streams, never held.
+    assert lines == math.comb(n + 1, (n + 1) // 2)
     assert n <= ENUMERATION_CAP
     sink = _HashingStdout()
     monkeypatch.setattr(sys, "stdout", sink)

@@ -410,16 +410,17 @@ def test_early_stop_keeps_the_full_run_width(n, restarts):
 )
 def test_snap_is_bitwise_the_per_row_snap(scale, sum_zero):
     # scale 0.0 stands for a general vertex matrix
+    # rows are unit, and centered under sum zero, as the descent holds them
     rng = np.random.default_rng(5)
     kept = {"no snap": 0, "wider": 0}
     for trial in range(300):
-        r, dim = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        r, dim = int(rng.integers(1, 7)), int(rng.integers(1 + sum_zero, 9))
         u = rng.standard_normal((r, dim))
+        if sum_zero:
+            u -= u.mean(axis=1, keepdims=True)
+        elif trial % 5 == 0:
+            u[0] = np.abs(u[0])  # one sign only
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        if trial % 5 == 0:
-            u[0] = np.abs(u[0])  # one sign only: no snap under sum zero
-        if trial % 7 == 0:
-            u[-1] = 0.0  # no snap at all
         best_w = rng.uniform(0.0, 3.0, r)
         if trial % 3 == 0:
             best_w[0] = 0.0  # any nonzero snapped width is wider
@@ -446,7 +447,41 @@ def test_snap_is_bitwise_the_per_row_snap(scale, sum_zero):
                 continue
             assert got_u[j].tobytes() == u[j].tobytes()
             assert got_w[j] == best_w[j]
-    assert min(kept.values()) > 0
+    assert kept["no snap"] == 0 and kept["wider"] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+def test_every_row_the_descent_holds_has_a_snap(dim, sum_zero, seed):
+    # _snap divides by its snaps' norms unguarded. The descent holds unit
+    # rows, centered under sum zero, and clamping such a row to its own
+    # extremes by sign keeps the norm at least 1, or, centered, at least
+    # (max - min) * sqrt((d - 1) / d).
+    sum_zero = sum_zero and dim >= 2
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < 4:
+        # small integers give ties and zero coordinates
+        if len(rows) % 2:
+            u = rng.integers(-2, 3, dim).astype(float)
+        else:
+            u = rng.standard_normal(dim)
+        if sum_zero:
+            u -= u.mean()
+        norm = np.linalg.norm(u)
+        if norm >= 1e-12:
+            rows.append(u / norm)
+    for u in rows:
+        snapped = np.where(u < 0, u.min(), u.max())
+        bound = 1.0
+        if sum_zero:
+            snapped -= snapped.mean()
+            bound = (u.max() - u.min()) * math.sqrt((dim - 1) / dim)
+        assert np.linalg.norm(snapped) >= bound * (1 - 1e-12)
+    # every row takes its snap, and every snap is a unit vector
+    got_u, got_w = _snap(np.array(rows), np.full(4, np.inf), None, 1.0, sum_zero)
+    assert np.all(np.isfinite(got_w))
+    assert np.allclose(np.linalg.norm(got_u, axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_point_set_records_its_scale_only_on_scaled_identities():
