@@ -2,8 +2,8 @@
 
 Closed-form widths, inradii, and circumradii, the optimal direction
 families achieving them, an energy monotonicity property, and
-independent numerical routes (subgradient descent, dense grids, exact
-enumeration) that cross-check the formulas.
+independent numerical routes (subgradient descent, exact enumeration)
+that cross-check the formulas.
 """
 
 from .closed_form import (
@@ -50,8 +50,6 @@ from .geometry import (
 from .optimizer import (
     OptimizerConfig,
     WidthResult,
-    grid_directions,
-    grid_width_oracle,
     minimize_width,
     two_value_enumeration_width,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "energy_fuzz",
     "energy_push",
     "enumerate_optimal_directions",
-    "grid_directions",
-    "grid_width_oracle",
     "indistance_squared",
     "inradius_squared",
     "is_optimal_direction",

@@ -1,12 +1,10 @@
 """Numerical width minimization over unit directions.
 
-Three independent routes to the width of a point set:
+Two independent routes to the width of a point set:
 
 * `minimize_width`: projected subgradient descent on the sphere, with
   seeded random restarts and a final snap onto the nearest two-value
   direction. Returns an upper bound on the true width.
-* `grid_width_oracle`: brute-force sweep of a uniform angular grid of
-  the (at most 3-dimensional) search space. Slow but assumption-free.
 * `two_value_enumeration_width`: exact rational scan of the squared
   width over the two-value family, the structural optimum for simplices.
 
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .closed_form import width_for_t
 from .geometry import (
@@ -49,11 +47,6 @@ PATIENCE = 5
 
 # The subgradient step at iteration k is STEP_INIT / sqrt(k).
 STEP_INIT = 1.0
-
-# Rows per chunk of `grid_directions`; a sphere chunk holds whole polar
-# rows, at least one.
-GRID_CHUNK_ROWS = 200_000
-
 
 class OptimizerConfig(Frozen):
     """Knobs for `minimize_width`.
@@ -99,8 +92,8 @@ class OptimizerConfig(Frozen):
 class WidthResult(Frozen):
     """Achieved width, the direction achieving it, and run metadata.
 
-    ``iterations`` is the count actually run: the subgradient iterations
-    (at most ``max_iters``) or the grid directions evaluated.
+    ``iterations`` is the count of subgradient iterations actually run,
+    at most ``max_iters``.
     """
 
     _fields = ("width", "direction", "iterations", "converged")
@@ -121,13 +114,6 @@ def _points_matrix(points: PointSet) -> np.ndarray:
     import numpy as np
 
     return np.array([p.coords for p in points], dtype=float)
-
-
-def _batch_widths(dirs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Projection widths of many directions at once; rows of ``dirs``
-    are directions, rows of ``pts`` are points."""
-    dots = dirs @ pts.T
-    return dots.max(axis=1) - dots.min(axis=1)
 
 
 def _restart_inits(cfg: OptimizerConfig, dim: int) -> np.ndarray:
@@ -329,101 +315,6 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
         direction=direction,
         iterations=k,
         converged=bool(last_gain[winner] < cfg.tol),
-    )
-
-
-def _constraint_basis(dim: int, constrain_sum_zero: bool) -> np.ndarray:
-    """Orthonormal rows spanning the search subspace."""
-    import numpy as np
-
-    if not constrain_sum_zero:
-        return np.eye(dim)
-    _, _, vh = np.linalg.svd(np.ones((1, dim)))
-    return vh[1:]
-
-
-def grid_directions(
-    dim: int, resolution: int, constrain_sum_zero: bool = False
-) -> Iterator[np.ndarray]:
-    """Uniform angular grid of the unit sphere of the search subspace, as
-    an iterator of chunks of about GRID_CHUNK_ROWS direction rows in the
-    ambient dimension. The arguments are checked at the call, before any
-    chunk is made.
-
-    Supports search dimensions 1 to 3 (a pair of antipodes, a circle
-    with ``resolution`` angles, or a sphere with ``resolution``
-    subdivisions per polar and azimuthal angle).
-    """
-    import numpy as np
-
-    check_int(dim, "dimension", 1, error=DimensionError)
-    check_int(resolution, "grid resolution", 8)
-    search_dim = dim - check_flag(constrain_sum_zero, "constrain_sum_zero")
-    check_int(search_dim, "grid search dimension", 1, 3, DimensionError)
-    basis = _constraint_basis(dim, constrain_sum_zero)
-
-    def chunks() -> Iterator[np.ndarray]:
-        if search_dim == 1:
-            yield np.vstack([basis[0], -basis[0]])
-        elif search_dim == 2:
-            theta = 2.0 * np.pi * np.arange(resolution) / resolution
-            for start in range(0, resolution, GRID_CHUNK_ROWS):
-                block = theta[start : start + GRID_CHUNK_ROWS]
-                yield np.outer(np.cos(block), basis[0]) + np.outer(
-                    np.sin(block), basis[1]
-                )
-        else:
-            # Two-sphere: polar angle 0..pi inclusive, azimuth 0..2pi exclusive.
-            polar = np.pi * np.arange(resolution + 1) / resolution
-            azimuth = 2.0 * np.pi * np.arange(resolution) / resolution
-            cos_az, sin_az = np.cos(azimuth), np.sin(azimuth)
-            polar_per_chunk = max(1, GRID_CHUNK_ROWS // resolution)
-            for start in range(0, resolution + 1, polar_per_chunk):
-                block = polar[start : start + polar_per_chunk]
-                sin_p, cos_p = np.sin(block), np.cos(block)
-                # (polar block, azimuth, ambient dim)
-                chunk = (
-                    sin_p[:, None, None]
-                    * (
-                        cos_az[None, :, None] * basis[0][None, None, :]
-                        + sin_az[None, :, None] * basis[1][None, None, :]
-                    )
-                    + cos_p[:, None, None] * basis[2][None, None, :]
-                )
-                yield chunk.reshape(-1, dim)
-
-    return chunks()
-
-
-def grid_width_oracle(
-    points: PointSet, resolution: int, constrain_sum_zero: bool = False
-) -> WidthResult:
-    """Exhaustive width over a uniform angular grid of the search space.
-
-    The returned minimum is within O(diam(P)/resolution) of the true
-    width. Only search dimensions up to 3 are supported; use it as a
-    desk-scale oracle, not a general solver.
-    """
-    import numpy as np
-
-    pts = _points_matrix(check_type(points, PointSet, "points"))
-    best_w = math.inf
-    best_u: np.ndarray | None = None
-    evaluated = 0
-    for chunk in grid_directions(points.dim, resolution, constrain_sum_zero):
-        widths = _batch_widths(chunk, pts)
-        j = int(np.argmin(widths))
-        if widths[j] < best_w:
-            best_w = float(widths[j])
-            best_u = chunk[j].copy()
-        evaluated += len(chunk)
-    assert best_u is not None
-    direction = Direction(Vector(tuple(best_u.tolist())), sum_zero=constrain_sum_zero)
-    return WidthResult(
-        width=best_w,
-        direction=direction,
-        iterations=evaluated,
-        converged=True,
     )
 
 

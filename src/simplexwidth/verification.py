@@ -163,9 +163,8 @@ def check_direction_families(max_n: int = ODD_FAMILY_MAX_N) -> CheckResult:
     """Every enumerated family member achieves the closed-form width on
     the standard simplex within 1e-12, with the right family size."""
     name = "direction-families"
-    odd_max_n = _bound(max_n, ODD_FAMILY_MAX_N)
-    even_max_n = min(odd_max_n, ODD_FAMILY_MAX_N - 1)
-    for n in range(1, odd_max_n + 1):
+    max_n = _bound(max_n, ODD_FAMILY_MAX_N)
+    for n in range(1, max_n + 1):
         family = enumerate_optimal_directions(n)
         expected_count = math.comb(n + 1, (n + 1) // 2)
         if len(family) != expected_count:
@@ -179,11 +178,11 @@ def check_direction_families(max_n: int = ODD_FAMILY_MAX_N) -> CheckResult:
         for direction in family:
             if abs(projection_width(direction, vertices) - target) > 1e-12:
                 return CheckResult(name, False, f"achievement fails at n={n}")
-    return CheckResult(
-        name,
-        True,
-        f"odd n<={odd_max_n}, even n<={even_max_n}: families achieve the width",
-    )
+    # the largest odd and even orders run; n = 1 runs no even order
+    ran = f"odd n<={max_n - 1 + max_n % 2}"
+    if max_n > 1:
+        ran += f", even n<={max_n - max_n % 2}"
+    return CheckResult(name, True, f"{ran}: families achieve the width")
 
 
 def energy_fuzz(trials: int, seed: int) -> tuple[int, int]:

@@ -12,8 +12,6 @@ import math
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from simplexwidth import cli
 from simplexwidth.closed_form import (
     SimplexKind,
@@ -35,12 +33,12 @@ from simplexwidth.geometry import (
 )
 from simplexwidth.optimizer import (
     OptimizerConfig,
-    grid_directions,
-    grid_width_oracle,
     minimize_width,
     two_value_enumeration_width,
 )
 from simplexwidth.verification import derive_seed, energy_fuzz
+
+from grid_oracle import family_offsets, grid_width_oracle
 
 
 def report(num, label):
@@ -148,31 +146,19 @@ def test_07_optimizer_rediscovers_the_closed_form():
 
 
 def test_08_dense_grid_oracle_and_direction_clustering():
-    d2 = grid_width_oracle(standard_simplex_vertices(2), 100_000, constrain_sum_zero=True)
+    d2, _ = grid_width_oracle(standard_simplex_vertices(2), 100_000, constrain_sum_zero=True)
     target2 = math.sqrt(width_squared(2, SimplexKind.STANDARD))
-    assert abs(d2.width - target2) <= 1e-3
+    assert abs(d2 - target2) <= 1e-3
 
-    points3 = standard_simplex_vertices(3)
-    d3 = grid_width_oracle(points3, 2000, constrain_sum_zero=True)
+    d3, _ = grid_width_oracle(standard_simplex_vertices(3), 2000, constrain_sum_zero=True)
     target3 = math.sqrt(width_squared(3, SimplexKind.STANDARD))
-    assert abs(d3.width - target3) <= 2e-3
+    assert abs(d3 - target3) <= 2e-3
 
     # every near-optimal grid direction hugs the enumerated family,
     # evidence that odd orders admit no optimal directions outside it
-    pts = np.array([p.coords for p in points3])
-    family = np.array([d.coords for d in enumerate_optimal_directions(3)])
-    slack = 5e-3
-    near_total = 0
-    for chunk in grid_directions(4, 2000, constrain_sum_zero=True):
-        dots = chunk @ pts.T
-        widths = dots.max(axis=1) - dots.min(axis=1)
-        near = widths <= target3 + slack
-        if not near.any():
-            continue
-        near_total += int(near.sum())
-        cosines = np.clip(np.abs(chunk[near] @ family.T).max(axis=1), -1.0, 1.0)
-        assert float(np.arccos(cosines).max()) <= 0.05
-    assert near_total > 0
+    near, worst = family_offsets(3, 2000, slack=5e-3)
+    assert near > 0
+    assert worst <= 0.05
     report(8, "dense grids agree with the closed form and cluster on the family")
 
 

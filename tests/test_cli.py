@@ -455,6 +455,22 @@ def test_verify_golden(capsys):
     assert out == EXPECTED_VERIFY_64_SEED_7
 
 
+@pytest.mark.parametrize(
+    "max_n,ran",
+    [
+        (1, "odd n<=1"),
+        (2, "odd n<=1, even n<=2"),
+        (5, "odd n<=5, even n<=4"),
+        (10, "odd n<=9, even n<=10"),
+        (11, "odd n<=11, even n<=10"),
+    ],
+)
+def test_verify_names_the_family_orders_it_ran(capsys, max_n, ran):
+    code, out, _ = run(capsys, "verify", "--max-n", str(max_n))
+    assert code == 0
+    assert f"PASS direction-families: {ran}: families achieve the width" in out.splitlines()
+
+
 def test_verify_reports_failed_checks_with_exit_1(monkeypatch, capsys):
     # a wrong circumcenter distance, caught by two checks
     monkeypatch.setattr(

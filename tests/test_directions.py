@@ -25,6 +25,8 @@ from simplexwidth.geometry import (
     standard_simplex_vertices,
 )
 
+from grid_oracle import family_offsets
+
 
 def negated(d):
     return Direction(Vector([-c for c in d.coords]), d.sum_zero)
@@ -235,6 +237,15 @@ def test_orders_show_no_optimum_outside_the_family(n):
             hits += 1
             assert is_optimal_direction(n, result.direction)
     assert hits >= 10
+
+
+def test_near_optimal_grid_directions_at_an_even_order_are_the_family_up_to_sign():
+    # the even case of acceptance test 08: at n = 2 the family does not
+    # hold its own negations, and every direction of a 100,000-angle
+    # circle within 5e-3 of the width lies near a member or its negation
+    near, worst = family_offsets(2, 100_000, slack=5e-3)
+    assert near > 0
+    assert worst <= 0.05
 
 
 def test_membership_precondition_errors():

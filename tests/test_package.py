@@ -28,8 +28,6 @@ from simplexwidth.geometry import (
 from simplexwidth.optimizer import (
     OptimizerConfig,
     WidthResult,
-    grid_directions,
-    grid_width_oracle,
     minimize_width,
 )
 from simplexwidth.verification import (
@@ -183,7 +181,6 @@ BAD_ARGUMENTS = [
     (energy_fuzz, (1, True), ValueError),
     (OptimizerConfig, (64, 10_000, "1"), ValueError),
     (OptimizerConfig, (64, 10_000, True), ValueError),
-    (grid_width_oracle, (standard_simplex_vertices(2), 16.5), ValueError),
     # a tuple in place of the Vector that EnergyReport centers
     (EnergyReport, ((1.0, 2.0),), TypeError),
     (is_optimal_direction, (1, _UNIT.coords), TypeError),
@@ -193,15 +190,10 @@ BAD_ARGUMENTS = [
     (projection_width, ((1.0, 0.0), standard_simplex_vertices(1)), TypeError),
     (projection_width, (Direction(_UNIT), ((0.0, 0.0),)), TypeError),
     (distance, ((1.0,), Vector((1.0,))), TypeError),
-    (grid_width_oracle, (((0.0, 0.0), (1.0, 0.0)), 16), TypeError),
     (check_exact_identities, (0,), DimensionError),
     (check_radii_distances, (-3,), DimensionError),
     (check_direction_families, (0,), DimensionError),
     (check_optimizer_agreement, (0, 0), DimensionError),
-    # the call itself raises: no next() on the returned iterator
-    (grid_directions, (2, 7), ValueError),
-    (grid_directions, (True, 16), DimensionError),
-    (grid_directions, ("2", 16), DimensionError),
     (is_optimal_direction, (0, Direction(Vector((1.0,)))), DimensionError),
     (energy_push, (Vector((1.0,)), 0, 2.0), DimensionError),
     # "no" is truthy, and float() accepts "3", b"3", bytearray(b"3") and
@@ -240,7 +232,6 @@ BAD_ARGUMENTS = [
         "energy_fuzz-seed-bool",
         "config-tol-str",
         "config-tol-bool",
-        "grid-resolution-float",
         "energy_report-centered-tuple",
         "is_optimal_direction-tuple",
         "minimize_width-points-tuple",
@@ -249,14 +240,10 @@ BAD_ARGUMENTS = [
         "projection_width-u-tuple",
         "projection_width-points-tuple",
         "distance-tuple",
-        "grid_width_oracle-points-tuple",
         "check_exact_identities-max_n-0",
         "check_radii_distances-max_n-negative",
         "check_direction_families-max_n-0",
         "check_optimizer_agreement-max_n-0",
-        "grid_directions-resolution-7-at-call",
-        "grid_directions-dim-bool",
-        "grid_directions-dim-str",
         "is_optimal_direction-order-0",
         "energy_push-one-coordinate",
         "energy_push-exact-str",
