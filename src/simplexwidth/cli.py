@@ -32,11 +32,10 @@ from .geometry import (
     standard_simplex_vertices,
 )
 from .optimizer import OptimizerConfig, minimize_width
-from .verification import derive_seed, run_all_checks
+from .verification import EXACT_MAX_N, derive_seed, run_all_checks
 
 TABLE_MAX_N = 10_000
 TABLE_NUMERIC_MAX_N = 100
-VERIFY_MAX_N = 64
 # Each restart is one row of every restarts x (n+1) optimizer array and
 # one spawned seed sequence; the cap keeps those arrays near 8 MB at
 # n = 1000, of which the minimizer holds three at a time.
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     directions.set_defaults(func=cmd_directions)
 
     verify = sub.add_parser("verify", help="run the full cross-check battery")
-    verify.add_argument("--max-n", type=_bounded_int(VERIFY_MAX_N), default=12)
+    verify.add_argument("--max-n", type=_bounded_int(EXACT_MAX_N), default=12)
     verify.add_argument("--seed", type=_bounded_int(MAX_SEED, 0), default=0)
     verify.set_defaults(func=cmd_verify)
 

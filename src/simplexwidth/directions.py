@@ -94,7 +94,7 @@ def make_two_value_direction(n: int, t: int, low_set: Iterable[int]) -> Directio
         raise ValueError(
             f"low_set must contain exactly t={t} distinct indices, got {len(low)}"
         )
-    coords = tuple([a if i in low else b for i in range(n + 1)])
+    coords = [a if i in low else b for i in range(n + 1)]
     return Direction(Vector(coords), sum_zero=True)
 
 

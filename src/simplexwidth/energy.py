@@ -39,7 +39,7 @@ class EnergyReport(Frozen):
 
     def __init__(self, v: Vector) -> None:
         mean = math.fsum(check_type(v, Vector, "v").coords) / v.dim
-        centered = Vector(tuple([c - mean for c in v.coords]))
+        centered = Vector([c - mean for c in v.coords])
         energy = centered.norm_squared()
         self.__dict__.update(mean=mean, centered=centered, energy=energy)
 
@@ -91,7 +91,7 @@ def energy_push(
 
     moved = list(v.coords)
     moved[i] = new_value
-    u = Vector(tuple(moved))
+    u = Vector(moved)
     after = EnergyReport(u)
 
     if exact:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import cached_property
+from typing import Sequence
 
 # Absolute tolerance on the squared norm of a unit vector, and on the
 # coordinate sum of a sum-zero vector. Well above double rounding, far
@@ -84,11 +85,11 @@ class Vector(Frozen):
     _fields = ("coords",)
     coords: tuple[float, ...]
 
-    def __init__(self, coords: tuple[float, ...]) -> None:
+    def __init__(self, coords: Sequence[float]) -> None:
         if isinstance(coords, (str, bytes, bytearray)):
             raise TypeError("vector coordinates must be numbers, not str or bytes")
-        # Built from a list: tuple() of a map grows by reallocation and
-        # leaves the heap fragmented when many vectors of mixed size are made.
+        # The one copy of the list callers pass: through a list, since tuple() of
+        # a map grows by reallocation and fragments the heap at mixed sizes.
         coords = tuple([*map(float, coords)])
         if len(coords) == 0:
             raise DimensionError("a vector needs at least one coordinate")
@@ -196,7 +197,7 @@ class PointSet(Frozen):
         for i in range(dim):
             coords = [0.0] * dim
             coords[i] = c
-            rows.append(Vector(tuple(coords)))
+            rows.append(Vector(coords))
         return tuple(rows)
 
     @property

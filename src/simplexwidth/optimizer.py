@@ -309,7 +309,7 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     best_u, best_w = _snap(best_u, best_w, pts, scale, sum_zero)
     winner = int(np.argmin(best_w))
     u = best_u[winner]
-    direction = Direction(Vector(tuple(u.tolist())), sum_zero=sum_zero)
+    direction = Direction(Vector(u.tolist()), sum_zero=sum_zero)
     return WidthResult(
         width=float(best_w[winner]),
         direction=direction,

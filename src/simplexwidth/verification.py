@@ -38,7 +38,7 @@ from .optimizer import OptimizerConfig, minimize_width, two_value_enumeration_wi
 # numpy is imported in the body of each function that uses it (see
 # optimizer.py), so that importing this module does not load it.
 
-EXACT_MAX_N = 64
+EXACT_MAX_N = 64  # the battery's bound: no check runs past it, nor `verify`
 RADII_MAX_N = 32
 ODD_FAMILY_MAX_N = 11
 OPTIMIZER_MAX_N = 12
@@ -63,14 +63,13 @@ def _bound(max_n: int, cap: int) -> int:
     return min(max_n, cap)
 
 
-def derive_seed(seed: int, *key: int) -> int:
-    """Child seed from the run seed and an integer key path."""
+def derive_seed(seed: int, n: int) -> int:
+    """Child seed from the run seed, keyed by one order ``n``."""
     check_int(seed, "seed", 0, MAX_SEED)
-    for k in key:
-        check_int(k, "seed key", 0)
+    check_int(n, "seed key", 0)
     import numpy as np
 
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+    return int(np.random.SeedSequence(seed, spawn_key=(n,)).generate_state(1)[0])
 
 
 def check_exact_identities(max_n: int = EXACT_MAX_N) -> CheckResult:
@@ -142,7 +141,7 @@ def check_radii_distances(max_n: int = RADII_MAX_N) -> CheckResult:
                 return CheckResult(name, False, f"vertex distance off at n={n}, j={j}")
             others = [p for k, p in enumerate(vertices) if k != j]
             centroid = Vector(
-                tuple([math.fsum(p.coords[i] for p in others) / n for i in range(n + 1)])
+                [math.fsum(p.coords[i] for p in others) / n for i in range(n + 1)]
             )
             if abs(distance(c, centroid) ** 2 - r_in) > 1e-14:
                 return CheckResult(name, False, f"facet distance off at n={n}, j={j}")
@@ -202,7 +201,7 @@ def energy_fuzz(trials: int, seed: int) -> tuple[int, int]:
     for _ in range(trials):
         dim = int(rng.integers(2, 51))
         coords = rng.uniform(-10.0, 10.0, dim)
-        v = Vector(tuple(coords.tolist()))
+        v = Vector(coords.tolist())
         i = int(rng.integers(dim))
         mean = math.fsum(v.coords) / dim
         delta = float(rng.uniform(1e-3, 10.0))

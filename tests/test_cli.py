@@ -570,7 +570,7 @@ _COMMANDS = {
         ),
         "--list": None,
     },
-    "verify": {"--max-n": _int_tokens(1, cli.VERIFY_MAX_N, 12), "--seed": _SEED},
+    "verify": {"--max-n": _int_tokens(1, verification.EXACT_MAX_N, 12), "--seed": _SEED},
 }
 # Unknown options, an option of another subcommand, help, and stray words.
 _UNKNOWN = ["--frobnicate", "--list", "--n=", "-x", "--", "-h", "extra", "table"]
@@ -759,33 +759,41 @@ def test_exact_commands_run_without_numpy(capsys):
         assert out == run(capsys, *argv)[1], argv
 
 
-# Imports the CLI and prints which of the modules named in argv[1] it loaded.
+# Lists the modules that importing the CLI adds to sys.modules, taken as a
+# difference so that the interpreter's own start-up imports do not count,
+# then runs the commands given as JSON in argv[1] with numpy importable and
+# prints their exit codes and whether numpy was loaded by the end.
 _LOADED_MODULES = """
 import sys
+before = set(sys.modules)
 import simplexwidth.cli
-names = sys.argv[1].split(",")
-print(repr([name for name in names if name in sys.modules]))
+added = sorted(set(sys.modules) - before)
+import contextlib, io, json
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [simplexwidth.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"added": added, "codes": codes, "numpy": "numpy" in sys.modules}))
 """
 
 
-def test_cli_start_imports_neither_csv_nor_json():
+def test_cli_import_loads_no_numpy_dataclasses_inspect_csv_or_json():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    numeric = ["simplexwidth.optimizer", "simplexwidth.verification", "simplexwidth.energy"]
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            _LOADED_MODULES,
-            ",".join(["csv", "json", "dataclasses", "inspect", *numeric]),
-        ],
+        [sys.executable, "-c", _LOADED_MODULES, json.dumps(EXACT_COMMANDS)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    added = set(report["added"])
+    assert not added & {"numpy", "dataclasses", "inspect", "csv", "json"}, added
     # the tracer of the benchmark finds its hooks in the numeric modules
-    assert proc.stdout.strip() == repr(numeric)
+    numeric = {"simplexwidth.optimizer", "simplexwidth.verification", "simplexwidth.energy"}
+    assert numeric <= added
+    # `table`, `width` and `directions` run without loading numpy
+    assert report["codes"] == [0] * len(EXACT_COMMANDS)
+    assert report["numpy"] is False
 
 
 def _readme_examples():

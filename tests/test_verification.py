@@ -1,14 +1,23 @@
-"""The verification battery's energy fuzz: its argument rule and its heap."""
+"""The verification battery's energy fuzz (its argument rule and its heap)
+and the per-order seeds of its descents."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from simplexwidth import verification
-from simplexwidth.verification import energy_fuzz, run_all_checks
+from simplexwidth.verification import derive_seed, energy_fuzz, run_all_checks
+
+
+@pytest.mark.parametrize("n", [0, 1, 100])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_derive_seed_is_the_first_word_of_the_orders_child_sequence(seed, n):
+    sequence = np.random.SeedSequence(seed, spawn_key=(n,))
+    assert derive_seed(seed, n) == int(sequence.generate_state(1)[0])
 
 
 @pytest.mark.parametrize("trials", [0, -5, True, 2.0, "3", None])
