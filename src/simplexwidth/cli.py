@@ -180,26 +180,25 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_family(n: int, out: IO[str]) -> None:
-    """Write every member of the optimal family, one per line, in the
-    order of `enumerate_optimal_directions`: lexicographic over the words
-    in {alpha, beta} with t alphas, alpha first.
+def _write_family(family: OptimalFamily, out: IO[str]) -> None:
+    """Write every member of ``family``, one per line, in the order of
+    `enumerate_optimal_directions`: lexicographic over the words in
+    {alpha, beta} with t alphas, alpha first.
 
-    Only the representative is built, and so checked for unit norm and
-    sum zero; every member permutes its coordinates, and math.fsum is
-    correctly rounded, so no other check could fail. A line splits into
-    a head of t coordinates and a tail; lexicographic order over lines
-    is order over heads, then over tails. So the tails are joined once,
-    grouped by alpha count, and each head is written in one call with
-    every tail that completes it to t alphas (462 lines at most). Every
-    head has a nonempty tail group, since t <= n + 1 - t.
+    Only the representative, which the caller has read, is built, and so
+    checked for unit norm and sum zero; every member permutes its
+    coordinates, and math.fsum is correctly rounded, so no other check
+    could fail. A line splits into a head of t coordinates and a tail;
+    lexicographic order over lines is order over heads, then over tails.
+    So the tails are joined once, grouped by alpha count, and each head
+    is written in one call with every tail that completes it to t alphas
+    (at most 462 lines, 150,150 bytes, at n = 20). Every head has a
+    nonempty tail group, since t <= n + 1 - t.
     """
-    family = OptimalFamily(n)
     family.low_sets()  # raises above ENUMERATION_CAP before any write
-    family.representative  # built, hence validated, before any write
+    n, t = family.n, family.t
     low_text = format_decimal(family.alpha)
     high_text = format_decimal(family.beta)
-    t = family.t
     tails: list[list[str]] = [[] for _ in range(n + 2 - t)]
     for tail in product((low_text, high_text), repeat=n + 1 - t):
         tails[tail.count(low_text)].append(" ".join(tail))
@@ -209,11 +208,11 @@ def _write_family(n: int, out: IO[str]) -> None:
 
 
 def cmd_directions(args: argparse.Namespace) -> int:
-    if args.list:
-        _write_family(args.n, sys.stdout)
-        return 0
     family = OptimalFamily(args.n)
-    family.representative  # built, hence validated, before any print
+    family.representative  # built, hence validated, before any output
+    if args.list:
+        _write_family(family, sys.stdout)
+        return 0
     print(f"n: {args.n}")
     print(f"t: {family.t}")
     print(f"count: {math.comb(args.n + 1, family.t)}")

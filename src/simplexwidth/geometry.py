@@ -8,7 +8,6 @@ width of a point set along a unit direction.
 from __future__ import annotations
 
 import math
-import struct
 from functools import cached_property
 from typing import Sequence
 
@@ -154,15 +153,12 @@ class PointSet(Frozen):
 
     Duplicate points are legal; they never change a projection width.
 
-    A set that is c times the identity of order n+1 (c != 0 and every
-    other entry +0.0, so a -0.0 off the diagonal does not count) records
-    ``_order`` n and ``_scale`` c; any other set has ``_scale`` 0.0. The
-    vertex builders store only n and c: ``dim`` and ``len`` read n, and
-    the rows are built when first read, so such a set equals, hashes and
-    prints as the set of its rows. A set given as rows finds its c once,
-    when it is made, by comparing its rows as bytes: the bytes of c*e_i
-    are the window of c with n zero doubles on each side that starts i
-    doubles before c, so nothing of size (n+1)^2 is made.
+    A set is either its rows or, made by the vertex builders, c times
+    the identity of order n+1 (off-diagonals +0.0), which records only
+    ``_order`` n and ``_scale`` c. ``dim`` and ``len`` read n, and the
+    rows are built when first read, so a built set equals, hashes and
+    prints as the set of its rows. A set given as rows keeps the class
+    ``_scale`` 0.0, whatever its rows are.
     """
 
     _fields = ("points",)
@@ -176,17 +172,6 @@ class PointSet(Frozen):
         if len(dims) > 1:
             raise DimensionError("all points must share one dimension")
         self.__dict__["points"] = points
-        (dim,) = dims
-        c = points[0].coords[0]
-        if len(points) != dim or c == 0.0:
-            return
-        pack = struct.Struct(f"{dim}d").pack
-        zeros = bytes(8 * (dim - 1))
-        band = zeros + struct.pack("d", c) + zeros
-        for i, p in enumerate(points):
-            if not band.startswith(pack(*p.coords), 8 * (dim - 1 - i)):
-                return
-        self.__dict__.update(_order=dim - 1, _scale=c)
 
     @cached_property
     def points(self) -> tuple[Vector, ...]:

@@ -40,8 +40,8 @@ from .geometry import (
 if TYPE_CHECKING:
     import numpy as np
 
-# The stall rule of `minimize_width` on c*I vertex matrices: check every
-# SNAP_EVERY iterations, stop after PATIENCE checks without progress.
+# The stall rule of `minimize_width` on the vertex builders' sets: check
+# every SNAP_EVERY iterations, stop after PATIENCE checks without progress.
 SNAP_EVERY = 100
 PATIENCE = 5
 
@@ -56,8 +56,8 @@ class OptimizerConfig(Frozen):
     one local basin per face pair, so restarts are the remedy, each
     initialized from its own sub-seed of ``seed``.
 
-    ``max_iters`` is an upper bound: on the standard and regular
-    simplices `minimize_width` stops earlier once its two-value snap
+    ``max_iters`` is an upper bound: on the sets made by the vertex
+    builders `minimize_width` stops earlier once its two-value snap
     stalls (see there). ``tol`` is the "improved by less than" threshold
     of both ``converged`` and that stall rule.
     """
@@ -160,9 +160,9 @@ def _snap(
     that is ``scale`` times the identity, which leaves ``pts`` unread.
 
     The only float array of ``best_u``'s shape that it makes is the one
-    it returns. On a c*I matrix a row's width is its largest and smallest
-    coordinate times c, swapped when c < 0: rounding is monotone, so
-    these are the bits of the extremes of the row times c.
+    it returns. On a c*I matrix, c > 0, a row's width is its largest and
+    smallest coordinate times c: rounding is monotone, so these are the
+    bits of the extremes of the row times c.
     """
     import numpy as np
 
@@ -173,11 +173,7 @@ def _snap(
         snapped -= snapped.mean(axis=1, keepdims=True)
     snapped /= np.sqrt(np.matmul(snapped[:, None, :], snapped[:, :, None])[:, 0])
     if scale:
-        top = snapped.max(axis=1) * scale
-        bottom = snapped.min(axis=1) * scale
-        if scale < 0:
-            top, bottom = bottom, top
-        widths = top - bottom
+        widths = snapped.max(axis=1) * scale - snapped.min(axis=1) * scale
     else:
         dots = np.matmul(pts, snapped[:, :, None])[:, :, 0]
         widths = dots.max(axis=1) - dots.min(axis=1)
@@ -199,19 +195,19 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     the best width by less than ``tol``, and ``iterations`` is the
     number of iterations run.
 
-    When the vertex matrix is c times the identity, as the point set
-    records in its ``_scale`` (the standard and regular simplices, built
-    or given as rows), the projections of an iterate u are just its
-    coordinates scaled by c, so they are computed as ``c * u`` instead
-    of a matrix product. The vertex matrix is never built, nor the rows
-    of a set made by the vertex builders. Each dot
-    product has one nonzero term, so the scaled coordinates equal the
-    matrix product exactly and the result is the same, bit for bit, as
-    on the general path. The descent holds three arrays of restarts x
-    (n+1) floats: the iterates, the incumbents and one scratch, whose
-    place each snap's array takes.
+    On a set made by `standard_simplex_vertices` or
+    `regular_simplex_vertices`, which records its scale c (1 or
+    1/sqrt(2)) in ``_scale``, the vertex matrix is c times the identity,
+    so the projections of an iterate u are computed as ``c * u`` instead
+    of a matrix product, and neither the matrix nor the set's rows are
+    built. Each dot product has one nonzero term, so the scaled
+    coordinates equal the matrix product exactly and the result is the
+    same, bit for bit, as on the general path, which a set given as rows
+    takes whatever its rows are. The descent holds three arrays of
+    restarts x (n+1) floats: the iterates, the incumbents and one
+    scratch, whose place each snap's array takes.
 
-    On such a matrix the run also stops early, so ``max_iters`` is only
+    On a built set the run also stops early, so ``max_iters`` is only
     an upper bound. Every SNAP_EVERY iterations it calls the same
     `_snap` on the incumbents, without keeping its result, and stops at
     the first check where the width the final snap would return has not
@@ -220,9 +216,9 @@ def minimize_width(points: PointSet, cfg: OptimizerConfig) -> WidthResult:
     incumbent with the optimal sign pattern snaps to the exact optimum,
     so once one restart reaches that pattern the snapped width stops
     moving. A run that stops after k iterations returns what a run with
-    ``max_iters=k`` returns. Other point sets have no such structure (a
-    stall rule of this kind cost widths up to 15% on random 4-D and 5-D
-    sets), so they always run ``max_iters`` iterations.
+    ``max_iters=k`` returns. Sets given as rows, which may lack that
+    structure (a stall rule of this kind cost widths up to 15% on random
+    4-D and 5-D sets), always run ``max_iters`` iterations.
 
     NOTE: a point set that spans an affine hyperplane not through the
     origin (such as a simplex on the coordinates-sum-to-one hyperplane)

@@ -27,7 +27,11 @@ from simplexwidth.closed_form import (
     inradius_squared,
     width_squared,
 )
-from simplexwidth.directions import ENUMERATION_CAP, enumerate_optimal_directions
+from simplexwidth.directions import (
+    ENUMERATION_CAP,
+    OptimalFamily,
+    enumerate_optimal_directions,
+)
 from simplexwidth.geometry import MAX_SEED, DimensionError, Direction, check_order
 
 EXPECTED_TABLE_3 = (
@@ -278,7 +282,7 @@ class _HashingStdout(io.TextIOBase):
 )
 def test_directions_list_golden_digest(monkeypatch, n, lines, digest):
     # Every order above the content test's, up to the enumeration cap
-    # n = 20, whose ~120 MB of output is hashed as it streams, never held.
+    # n = 20, whose 114.6 MB of output is hashed as it streams, never held.
     assert lines == math.comb(n + 1, (n + 1) // 2)
     assert n <= ENUMERATION_CAP
     sink = _HashingStdout()
@@ -286,6 +290,26 @@ def test_directions_list_golden_digest(monkeypatch, n, lines, digest):
     assert cli.main(["directions", "--n", str(n), "--list"]) == 0
     assert sink.lines == lines
     assert sink.sha.hexdigest() == digest
+
+
+class _WriteSizes(io.TextIOBase):
+    """Text stream that keeps the largest write, in bytes and in lines."""
+
+    def __init__(self):
+        self.bytes = self.lines = 0
+
+    def write(self, text):
+        self.bytes = max(self.bytes, len(text.encode("utf-8")))
+        self.lines = max(self.lines, text.count("\n"))
+        return len(text)
+
+
+@pytest.mark.parametrize("n,lines,size", [(18, 252, 74_088), (20, 462, 150_150)])
+def test_directions_list_writes_are_bounded(n, lines, size):
+    # each write is one head joined to its tail group, never the family
+    sink = _WriteSizes()
+    cli._write_family(OptimalFamily(n), sink)
+    assert (sink.lines, sink.bytes) == (lines, size)
 
 
 @pytest.mark.parametrize(

@@ -281,7 +281,8 @@ EQUIVALENCE_CASES = [
     ("random-3d-sum-zero", _random_points(23, 3, 6), True),
     ("random-5d", _random_points(24, 5, 11), False),
     ("origin", PointSet((Vector((0.0, 0.0, 0.0)),)), False),
-    # adding 0.0 makes the -0.0 entries of -I +0.0
+    # given as rows, a scaled identity takes the general path; adding
+    # 0.0 makes the -0.0 entries of -I +0.0, as in the builders' rows
     ("minus-identity-4", _point_set(-np.eye(4) + 0.0), True),
 ]
 
@@ -307,8 +308,9 @@ def test_minimize_width_is_bitwise_equal_to_the_reference_loop(points, sum_zero)
     ids=[case[0] for case in EQUIVALENCE_CASES],
 )
 def test_early_stop_is_the_reference_loop_cut_short(points, sum_zero):
-    # a c*I run that stops after k iterations returns exactly what the
-    # textbook loop returns with max_iters=k; other point sets never stop
+    # a run on a builder's set that stops after k iterations returns
+    # exactly what the textbook loop returns with max_iters=k; sets given
+    # as rows never stop
     cfg = OptimizerConfig(seed=41, constrain_sum_zero=sum_zero)
     result = minimize_width(points, cfg)
     if not points._scale:
@@ -377,8 +379,8 @@ def test_early_stop_keeps_the_full_run_width(n, restarts):
 @pytest.mark.parametrize("sum_zero", [True, False])
 @pytest.mark.parametrize(
     "scale",
-    [1.0, 1.0 / math.sqrt(2.0), -1.0, 0.0],
-    ids=["c=1", "c=1/sqrt2", "c=-1", "general"],
+    [1.0, 1.0 / math.sqrt(2.0), 0.0],
+    ids=["c=1", "c=1/sqrt2", "general"],
 )
 def test_snap_is_bitwise_the_per_row_snap(scale, sum_zero):
     # scale 0.0 stands for a general vertex matrix
@@ -456,50 +458,45 @@ def test_every_row_the_descent_holds_has_a_snap(dim, sum_zero, seed):
     assert np.allclose(np.linalg.norm(got_u, axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
-def test_point_set_records_its_scale_only_on_scaled_identities():
-    assert standard_simplex_vertices(4)._scale == 1.0
-    assert regular_simplex_vertices(4)._scale == 1.0 / math.sqrt(2.0)
-    # the explicit rows of both take the byte path to the same c
-    for build in (standard_simplex_vertices, regular_simplex_vertices):
-        explicit = _point_set([p.coords for p in build(4)])
-        assert explicit._scale == build(4)._scale
-    assert _point_set([[0.0]])._scale == 0.0
-    assert unit_square()._scale == 0.0
-    assert _point_set([[2.0, 0.0], [0.0, 1.0]])._scale == 0.0
-    assert _point_set([[0.0, 1.0], [1.0, 0.0]])._scale == 0.0
-    assert _point_set([[-1.0, 0.0], [0.0, -1.0]])._scale == -1.0
-    # the recorded scale and order survive pickling and copying
-    minus_identity = _point_set(-np.eye(4) + 0.0)
-    for clone in (
-        pickle.loads(pickle.dumps(minus_identity)),
-        copy.copy(minus_identity),
-        copy.deepcopy(minus_identity),
+def test_only_the_vertex_builders_record_a_scale():
+    # both scales are positive, and survive pickling and copying
+    for build, c in (
+        (standard_simplex_vertices, 1.0),
+        (regular_simplex_vertices, 1.0 / math.sqrt(2.0)),
     ):
-        assert clone._scale == -1.0 and clone.dim == len(clone) == 4
-    # a -0.0 off the diagonal, of the first row or a later one
+        built = build(4)
+        assert built._scale == c > 0
+        for clone in (
+            pickle.loads(pickle.dumps(built)),
+            copy.copy(built),
+            copy.deepcopy(built),
+        ):
+            assert clone._scale == c and clone.dim == len(clone) == 5
+    # a set given as rows keeps the class default, whatever its rows are:
+    # the explicit rows of both builders, -I, a -0.0 off the diagonal,
+    # and sets that are not square
     rows = np.eye(5)
     rows[4, 0] = -0.0
-    # not square: the rows of I with a zero row below, or with one row missing
     for points in (
+        _point_set([p.coords for p in standard_simplex_vertices(4)]),
+        _point_set([p.coords for p in regular_simplex_vertices(4)]),
+        _point_set(-np.eye(4) + 0.0),
+        _point_set([[0.0]]),
+        unit_square(),
         _point_set([[1.0, -0.0], [0.0, 1.0]]),
         _point_set(rows),
         _point_set([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
         _point_set([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
     ):
         assert points._scale == 0.0 and "_scale" not in vars(points)
+        assert "_order" not in vars(points)
 
 
 def test_identity_path_allocates_nothing_of_the_vertex_matrix_size():
     cfg = OptimizerConfig(restarts=2, max_iters=1, constrain_sum_zero=True)
     prebuilt = standard_simplex_vertices(300)
-    rows = tuple(standard_simplex_vertices(300))
-    # the vertices built before the trace, built inside it, and given as
-    # their explicit rows inside it, where the set compares its rows
-    for make in (
-        lambda: prebuilt,
-        lambda: standard_simplex_vertices(300),
-        lambda: PointSet(rows),
-    ):
+    # the vertices built before the trace, and built inside it
+    for make in (lambda: prebuilt, lambda: standard_simplex_vertices(300)):
         tracemalloc.start()
         try:
             minimize_width(make(), cfg)
