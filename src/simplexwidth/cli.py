@@ -213,11 +213,12 @@ def cmd_directions(args: argparse.Namespace) -> int:
     if args.list:
         _write_family(family, sys.stdout)
         return 0
-    print(f"n: {args.n}")
-    print(f"t: {family.t}")
-    print(f"count: {math.comb(args.n + 1, family.t)}")
-    print(f"alpha: {format_decimal(family.alpha)}")
-    print(f"beta: {format_decimal(family.beta)}")
+    # One write of all five lines: under a lowered int-to-str digit limit
+    # the count's conversion raises, and that usage error writes nothing.
+    sys.stdout.write(
+        f"n: {args.n}\nt: {family.t}\ncount: {math.comb(args.n + 1, family.t)}\n"
+        f"alpha: {format_decimal(family.alpha)}\nbeta: {format_decimal(family.beta)}\n"
+    )
     return 0
 
 

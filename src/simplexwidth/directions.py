@@ -33,6 +33,7 @@ from .geometry import (
     PreconditionError,
     Vector,
     check_int,
+    check_order,
     check_type,
 )
 
@@ -69,7 +70,7 @@ class OptimalFamily(Frozen):
     @cached_property
     def representative(self) -> Direction:
         """The member with low set {0..t-1}, built and checked on first read."""
-        return make_two_value_direction(self.n, self.t, range(self.t))
+        return make_two_value_direction(self.n, range(self.t))
 
     def low_sets(self) -> Iterator[tuple[int, ...]]:
         """The members' low-coordinate index sets, in lexicographic order.
@@ -85,15 +86,12 @@ class OptimalFamily(Frozen):
         return combinations(range(self.n + 1), self.t)
 
 
-def make_two_value_direction(n: int, t: int, low_set: Iterable[int]) -> Direction:
-    """The unit sum-zero direction with alpha(n, t) on the t indices of
-    ``low_set`` and beta(n, t) on the other n+1-t."""
-    a, b = alpha_beta(n, t)
+def make_two_value_direction(n: int, low_set: Iterable[int]) -> Direction:
+    """The unit sum-zero direction with alpha(n, t) on the t distinct
+    indices of ``low_set``, 1..n of them, and beta(n, t) on the other n+1-t."""
+    check_order(n)
     low = frozenset([check_int(i, "low_set index", 0, n, IndexError) for i in low_set])
-    if len(low) != t:
-        raise ValueError(
-            f"low_set must contain exactly t={t} distinct indices, got {len(low)}"
-        )
+    a, b = alpha_beta(n, len(low))
     coords = [a if i in low else b for i in range(n + 1)]
     return Direction(Vector(coords), sum_zero=True)
 
@@ -106,8 +104,7 @@ def enumerate_optimal_directions(n: int) -> list[Direction]:
     directions with t = n/2, one per choice of low coordinates; the
     optimal set is these directions and their negations.
     """
-    family = OptimalFamily(n)
-    return [make_two_value_direction(n, family.t, low) for low in family.low_sets()]
+    return [make_two_value_direction(n, low) for low in OptimalFamily(n).low_sets()]
 
 
 def is_optimal_direction(n: int, u: Direction) -> bool:

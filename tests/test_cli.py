@@ -232,15 +232,36 @@ def test_directions_cap_is_usage_error(capsys):
 
 
 def test_directions_summary_cap_is_usage_error(capsys):
-    # the largest order whose family size prints in decimal; one more is
-    # rejected by argument parsing, before anything is computed or printed
-    code, out, _ = run(capsys, "directions", "--n", str(cli.DIRECTIONS_MAX_N))
+    # the largest order whose family size prints in decimal: C(n+1, t) has
+    # at most 4,300 digits, Python's default int-to-str limit, at the cap,
+    # and more one order above it
+    n = cli.DIRECTIONS_MAX_N
+    assert (n + 1, OptimalFamily(n).t) == (14291, 7145)
+    assert (n + 2, OptimalFamily(n + 1).t) == (14292, 7146)
+    assert math.comb(14291, 7145) < 10**4300 <= math.comb(14292, 7146)
+    code, out, _ = run(capsys, "directions", "--n", str(n))
     assert code == 0
-    assert out.startswith(f"n: {cli.DIRECTIONS_MAX_N}\n")
-    code, out, err = run(capsys, "directions", "--n", str(cli.DIRECTIONS_MAX_N + 1))
+    assert out.startswith(f"n: {n}\n")
+    # one more is rejected by argument parsing, before anything is
+    # computed or printed
+    code, out, err = run(capsys, "directions", "--n", str(n + 1))
     assert code == 2
-    assert f"1..{cli.DIRECTIONS_MAX_N}" in err
+    assert f"1..{n}" in err
     assert out == ""
+
+
+def test_directions_summary_past_a_lowered_digit_limit_writes_nothing(capsys):
+    # the family size at n = 3000 has 902 digits: under a 640-digit limit
+    # its conversion fails, and the usage error leaves stdout empty
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "directions", "--n", "3000")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("n", range(1, 13))

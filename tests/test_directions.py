@@ -147,26 +147,33 @@ def test_representative_is_built_once_on_first_read(monkeypatch):
 
 
 def test_make_two_value_direction_validation():
+    # t is the low set's size, which must be 1..n: an empty or a full set
+    # names no bipartition of the vertices
     with pytest.raises(ValueError):
-        make_two_value_direction(3, 2, frozenset({0}))
+        make_two_value_direction(3, frozenset())
+    with pytest.raises(ValueError):
+        make_two_value_direction(3, frozenset({0, 1, 2, 3}))
     with pytest.raises(IndexError):
-        make_two_value_direction(3, 2, frozenset({0, 4}))
+        make_two_value_direction(3, frozenset({0, 4}))
 
 
 @settings(max_examples=100)
 @given(st.integers(min_value=1, max_value=12), st.data())
 def test_two_value_direction_structure(n, data):
-    t = data.draw(st.integers(min_value=1, max_value=n))
+    # a nonempty proper subset, passed as a list with repeats: the
+    # repeats name the same set
     low = frozenset(
         data.draw(
-            st.sets(
-                st.integers(min_value=0, max_value=n), min_size=t, max_size=t
-            )
+            st.sets(st.integers(min_value=0, max_value=n), min_size=1, max_size=n)
         )
     )
-    direction = make_two_value_direction(n, t, low)
+    repeats = data.draw(st.lists(st.sampled_from(sorted(low))))
+    low_list = data.draw(st.permutations(sorted(low) + repeats))
+    direction = make_two_value_direction(n, low_list)
+    t = len(low)
     assert isinstance(direction, Direction)
     assert direction.sum_zero
+    assert sum(c < 0 for c in direction.coords) == t
     a, b = alpha_beta(n, t)
     for i, c in enumerate(direction.coords):
         assert c == (a if i in low else b)
@@ -206,8 +213,7 @@ def test_membership_above_the_enumeration_cap():
     # the membership test reads t, alpha and beta from OptimalFamily,
     # which serves every valid order, not only enumerable ones
     n = 50
-    family = OptimalFamily(n)
-    member = make_two_value_direction(n, family.t, range(1, n + 1, 2))
+    member = make_two_value_direction(n, range(1, n + 1, 2))
     assert is_optimal_direction(n, member)
     assert is_optimal_direction(n, negated(member))
     coords = list(member.coords)

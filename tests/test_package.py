@@ -172,9 +172,11 @@ def _first_table_row(*args):
 # TypeError
 BAD_ARGUMENTS = [
     (run_all_checks, (0, 0), DimensionError),
-    (make_two_value_direction, (3, 2, [0, 1.5]), ValueError),
-    (make_two_value_direction, (3, 2, [0, True]), ValueError),
-    (make_two_value_direction, (3, 2, [0, "1"]), ValueError),
+    (make_two_value_direction, (3, [0, 1.5]), ValueError),
+    (make_two_value_direction, (3, [0, True]), ValueError),
+    (make_two_value_direction, (3, [0, "1"]), ValueError),
+    # the order is checked before it bounds the indices
+    (make_two_value_direction, ("3", [0]), DimensionError),
     (derive_seed, (True, 1), ValueError),
     (derive_seed, (2**64, 1), ValueError),
     (derive_seed, (0, True), ValueError),
@@ -226,6 +228,7 @@ BAD_ARGUMENTS = [
         "low_set-index-float",
         "low_set-index-bool",
         "low_set-index-str",
+        "make_two_value_direction-order-str",
         "derive_seed-bool",
         "derive_seed-2**64",
         "derive_seed-key-bool",
