@@ -93,6 +93,7 @@ __all__ = [
     "optimal_t",
     "projection_width",
     "regular_simplex_vertices",
+    "run_all_checks",
     "standard_simplex_vertices",
     "two_value_enumeration_width",
     "width",

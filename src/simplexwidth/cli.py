@@ -174,7 +174,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     result = minimize_width(standard_simplex_vertices(args.n), cfg)
     in_family = is_optimal_direction(args.n, result.direction)
     print(f"width: {format_decimal(result.width)}")
-    print("direction: " + " ".join(format_decimal(c) for c in result.direction.vec.coords))
+    print("direction: " + " ".join(format_decimal(c) for c in result.direction.coords))
     print(f"converged: {str(result.converged).lower()}")
     print(f"optimal-family: {str(in_family).lower()}")
     return 0

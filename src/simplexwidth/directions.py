@@ -31,7 +31,6 @@ from .geometry import (
     Direction,
     Frozen,
     PreconditionError,
-    Vector,
     check_int,
     check_order,
     check_type,
@@ -93,7 +92,7 @@ def make_two_value_direction(n: int, low_set: Iterable[int]) -> Direction:
     low = frozenset([check_int(i, "low_set index", 0, n, IndexError) for i in low_set])
     a, b = alpha_beta(n, len(low))
     coords = [a if i in low else b for i in range(n + 1)]
-    return Direction(Vector(coords), sum_zero=True)
+    return Direction(coords, sum_zero=True)
 
 
 def enumerate_optimal_directions(n: int) -> list[Direction]:
@@ -117,7 +116,7 @@ def is_optimal_direction(n: int, u: Direction) -> bool:
     family = OptimalFamily(n)
     if check_type(u, Direction, "u").dim != n + 1:
         raise DimensionError(f"direction has dimension {u.dim}, expected {n + 1}")
-    if abs(u.vec.coordinate_sum()) > SUM_ZERO_TOL:
+    if abs(u.coordinate_sum()) > SUM_ZERO_TOL:
         raise PreconditionError("direction must be sum-zero")
 
     t, a, b = family.t, family.alpha, family.beta

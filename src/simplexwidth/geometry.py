@@ -89,7 +89,11 @@ class Vector(Frozen):
             raise TypeError("vector coordinates must be numbers, not str or bytes")
         # The one copy of the list callers pass: through a list, since tuple() of
         # a map grows by reallocation and fragments the heap at mixed sizes.
-        coords = tuple([*map(float, coords)])
+        try:
+            coords = tuple([*map(float, coords)])
+        except OverflowError:
+            # an int too large for a float
+            raise ValueError("vector coordinates must be finite") from None
         if len(coords) == 0:
             raise DimensionError("a vector needs at least one coordinate")
         if not all(map(math.isfinite, coords)):
@@ -107,45 +111,35 @@ class Vector(Frozen):
         return math.fsum(self.coords)
 
 
-class Direction(Frozen):
+class Direction(Vector):
     """Unit vector, optionally constrained to the sum-zero subspace.
 
     ``sum_zero`` marks directions orthogonal to the all-ones vector,
     i.e. parallel to the hyperplane that carries the basis-vector
-    simplex. Both invariants are validated on construction.
+    simplex. Both invariants are validated on construction. A direction
+    never equals a plain `Vector`, whatever their coordinates.
     """
 
-    _fields = ("vec", "sum_zero")
-    vec: Vector
+    _fields = ("coords", "sum_zero")
     sum_zero: bool
 
-    def __init__(self, vec: Vector, sum_zero: bool = False) -> None:
-        attrs = self.__dict__
-        attrs["vec"] = vec
-        attrs["sum_zero"] = sum_zero
+    def __init__(self, coords: Sequence[float], sum_zero: bool = False) -> None:
+        super().__init__(coords)
+        self.__dict__["sum_zero"] = sum_zero
         self.__post_init__()
 
     def __post_init__(self) -> None:
         # A method of its own so that a profiler can wrap every check.
-        vec = check_type(self.vec, Vector, "direction vec")
         sum_zero = check_flag(self.sum_zero, "sum_zero")
-        nsq = vec.norm_squared()
+        nsq = self.norm_squared()
         if abs(nsq - 1.0) > UNIT_NORM_TOL:
             raise PreconditionError(
                 f"direction must be a unit vector, got squared norm {nsq!r}"
             )
-        if sum_zero and abs(vec.coordinate_sum()) > SUM_ZERO_TOL:
+        if sum_zero and abs(self.coordinate_sum()) > SUM_ZERO_TOL:
             raise PreconditionError(
                 "direction flagged sum-zero has a nonzero coordinate sum"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.vec.dim
-
-    @property
-    def coords(self) -> tuple[float, ...]:
-        return self.vec.coords
 
 
 class PointSet(Frozen):

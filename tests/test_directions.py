@@ -29,7 +29,7 @@ from grid_oracle import family_offsets
 
 
 def negated(d):
-    return Direction(Vector([-c for c in d.coords]), d.sum_zero)
+    return Direction([-c for c in d.coords], d.sum_zero)
 
 
 @pytest.mark.parametrize("n,t", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (10, 5)])
@@ -189,7 +189,7 @@ def test_membership_rejects_generic_directions():
         z = rng.standard_normal(n + 1)
         z -= z.mean()
         z /= np.linalg.norm(z)
-        rejected += not is_optimal_direction(n, Direction(Vector(tuple(z)), sum_zero=True))
+        rejected += not is_optimal_direction(n, Direction(z, sum_zero=True))
     assert rejected == 20
 
 
@@ -203,7 +203,7 @@ def test_membership_tolerance_boundary():
         p[0] += eps
         p[1] -= eps  # keep the coordinate sum at zero
         p /= np.linalg.norm(p)
-        return Direction(Vector(tuple(p)), sum_zero=True)
+        return Direction(p, sum_zero=True)
 
     assert is_optimal_direction(n, perturb(1e-13))
     assert not is_optimal_direction(n, perturb(1e-6))
@@ -220,7 +220,7 @@ def test_membership_above_the_enumeration_cap():
     coords[0] += 1e-6
     coords[1] -= 1e-6  # keep the coordinate sum at zero
     scale = 1.0 / math.sqrt(math.fsum(c * c for c in coords))
-    off = Direction(Vector([scale * c for c in coords]), sum_zero=True)
+    off = Direction([scale * c for c in coords], sum_zero=True)
     assert not is_optimal_direction(n, off)
 
 
@@ -258,8 +258,8 @@ def test_membership_precondition_errors():
     n = 3
     half = math.sqrt(0.5)
     with pytest.raises(DimensionError):
-        is_optimal_direction(n, Direction(Vector((half, -half)), sum_zero=True))
+        is_optimal_direction(n, Direction((half, -half), sum_zero=True))
     # unit but not sum-zero
-    e1 = Direction(Vector((1.0, 0.0, 0.0, 0.0)))
+    e1 = Direction((1.0, 0.0, 0.0, 0.0))
     with pytest.raises(PreconditionError):
         is_optimal_direction(n, e1)

@@ -57,7 +57,7 @@ def bits(coords):
 
 
 def negated(d):
-    return Direction(Vector([-c for c in d.coords]), d.sum_zero)
+    return Direction([-c for c in d.coords], d.sum_zero)
 
 
 numbers = st.one_of(
@@ -89,18 +89,31 @@ def test_vector_norm_squared():
 
 def test_direction_requires_unit_norm():
     with pytest.raises(PreconditionError):
-        Direction(Vector((1.0, 1.0)))
-    d = Direction(Vector((0.6, 0.8)))
+        Direction((1.0, 1.0))
+    d = Direction((0.6, 0.8))
     assert d.dim == 2
 
 
 def test_direction_sum_zero_flag_is_checked():
     # unit but not sum-zero
     with pytest.raises(PreconditionError):
-        Direction(Vector((0.6, 0.8)), sum_zero=True)
+        Direction((0.6, 0.8), sum_zero=True)
     s = 1.0 / math.sqrt(2.0)
-    d = Direction(Vector((s, -s)), sum_zero=True)
+    d = Direction((s, -s), sum_zero=True)
     assert d.sum_zero
+
+
+_HALF = math.sqrt(0.5)
+
+
+def test_direction_is_a_vector_of_its_own_class():
+    d = Direction([_HALF, -_HALF], sum_zero=True)
+    v = Vector([_HALF, -_HALF])
+    assert isinstance(d, Vector) and d.coords == v.coords
+    assert d != v and v != d
+    assert Direction((1.0, 0.0)) == Direction([1.0, 0.0], sum_zero=False)
+    # a direction is a point of the unit sphere
+    assert distance(d, v) == 0.0
 
 
 def test_pointset_validation():
@@ -112,9 +125,6 @@ def test_pointset_validation():
     assert len(ps) == 1 and ps.dim == 2
 
 
-_HALF = math.sqrt(0.5)
-
-
 # a wrong type names the input; a flag of another type is a bad argument
 # value under the package's argument rule, so it raises ValueError
 _WRONG_TYPE = (TypeError, "Vector|bool")
@@ -124,17 +134,18 @@ _BAD_FLAG = (ValueError, "sum_zero")
 @pytest.mark.parametrize(
     "build,error,match",
     [
-        (lambda: Direction((1.0, 0.0)), *_WRONG_TYPE),
-        (lambda: Direction([_HALF, -_HALF], sum_zero=True), *_WRONG_TYPE),
-        (lambda: Direction(Vector((_HALF, -_HALF)), sum_zero="no"), *_BAD_FLAG),
-        (lambda: Direction(Vector((1.0, 0.0)), sum_zero=0), *_BAD_FLAG),
+        # a direction takes coordinates, as a Vector does, not a Vector
+        (lambda: Direction("ab"), TypeError, "not str or bytes"),
+        (lambda: Direction(coords=Vector((1.0, 0.0))), TypeError, "'Vector' object is not"),
+        (lambda: Direction((_HALF, -_HALF), sum_zero="no"), *_BAD_FLAG),
+        (lambda: Direction((1.0, 0.0), sum_zero=0), *_BAD_FLAG),
         (lambda: PointSet(((1.0,),)), *_WRONG_TYPE),
         (lambda: PointSet("ab"), *_WRONG_TYPE),
         (lambda: PointSet((Vector((1.0,)), (2.0,))), *_WRONG_TYPE),
     ],
     ids=[
-        "direction-of-tuple",
-        "direction-of-list",
+        "direction-of-str",
+        "direction-of-vector",
         "sum-zero-str",
         "sum-zero-int",
         "points-of-tuples",
@@ -232,13 +243,13 @@ def test_projection_width_unit_square():
     square = PointSet(
         tuple(Vector(c) for c in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     )
-    assert projection_width(Direction(Vector((1.0, 0.0))), square) == 1.0
-    diag = Direction(Vector((_HALF, _HALF)))
+    assert projection_width(Direction((1.0, 0.0)), square) == 1.0
+    diag = Direction((_HALF, _HALF))
     assert abs(projection_width(diag, square) - math.sqrt(2.0)) <= 1e-12
 
 
 def test_projection_width_scales_with_the_point_set():
-    u = Direction(Vector((_HALF, -_HALF, 0.0)))
+    u = Direction((_HALF, -_HALF, 0.0))
     std = standard_simplex_vertices(2)
     assert projection_width(u, std) == pytest.approx(math.sqrt(2.0), abs=1e-12)
     # shrinking every point shrinks every projection width by the same factor
@@ -250,7 +261,7 @@ def test_projection_width_scales_with_the_point_set():
 
 def test_projection_width_dimension_mismatch():
     with pytest.raises(DimensionError):
-        projection_width(Direction(Vector((1.0, 0.0))), standard_simplex_vertices(2))
+        projection_width(Direction((1.0, 0.0)), standard_simplex_vertices(2))
 
 
 @given(coords_strategy, coords_strategy)
@@ -261,7 +272,7 @@ def test_projection_width_negation_and_shift_invariance(dir_coords, shift_coords
     if v.norm_squared() < 1e-12:
         return
     scale = 1.0 / math.sqrt(v.norm_squared())
-    u = Direction(Vector([scale * c for c in v.coords]))
+    u = Direction([scale * c for c in v.coords])
     pts = PointSet(
         tuple(
             Vector(tuple(float(i == k) for k in range(dim))) for i in range(dim)

@@ -54,7 +54,7 @@ def test_batch_widths_match_projection_width():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     batched = batch_widths(dirs, pts)
     for row, w in zip(dirs, batched):
-        expected = projection_width(Direction(Vector(tuple(row))), points)
+        expected = projection_width(Direction(row), points)
         assert abs(w - expected) <= 1e-12
 
 
@@ -372,7 +372,7 @@ def test_early_stop_keeps_the_full_run_width(n, restarts):
         width, coords, _, _ = _reference_minimize_width(points, cfg)
         assert abs(result.width - width) <= 1e-12 * width
         assert is_optimal_direction(n, result.direction) == is_optimal_direction(
-            n, Direction(Vector(coords), sum_zero=True)
+            n, Direction(coords, sum_zero=True)
         )
 
 

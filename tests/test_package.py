@@ -1,9 +1,13 @@
 """The public namespace of the package and its immutable value classes."""
 
+import ast
 import copy
 import math
 import pickle
+import re
 from decimal import Decimal
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -47,9 +51,48 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(simplexwidth, name), name
+    # `from simplexwidth import *` binds every public name but the submodules
+    public = [
+        name
+        for name, value in vars(simplexwidth).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    ]
+    assert sorted(names) == sorted(public)
 
 
-_UNIT = Vector((0.6, 0.8))
+def test_readme_python_blocks_run():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(simplexwidth.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    if path.name == "__init__.py":
+        # the package imports to export: a name is used if `__all__` lists it
+        used = set(simplexwidth.__all__)
+    else:
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+    assert sorted(imported - used) == []
+
+
+_UNIT = (0.6, 0.8)
 
 # (class, the shortest positional call, every argument by keyword with
 # the defaults spelled out, its repr, one argument and another value for
@@ -66,9 +109,9 @@ VALUE_CASES = [
     (
         Direction,
         (_UNIT,),
-        {"vec": _UNIT, "sum_zero": False},
-        "Direction(vec=Vector(coords=(0.6, 0.8)), sum_zero=False)",
-        ("vec", Vector((0.8, 0.6))),
+        {"coords": _UNIT, "sum_zero": False},
+        "Direction(coords=(0.6, 0.8), sum_zero=False)",
+        ("coords", (0.8, 0.6)),
     ),
     (
         PointSet,
@@ -114,8 +157,8 @@ VALUE_CASES = [
             "iterations": 3,
             "converged": True,
         },
-        "WidthResult(width=0.5, direction=Direction(vec=Vector(coords=(0.6, 0.8)), "
-        "sum_zero=False), iterations=3, converged=True)",
+        "WidthResult(width=0.5, direction=Direction(coords=(0.6, 0.8), sum_zero=False), "
+        "iterations=3, converged=True)",
         ("converged", False),
     ),
     (
@@ -185,18 +228,20 @@ BAD_ARGUMENTS = [
     (OptimizerConfig, (64, 10_000, True), ValueError),
     # a tuple in place of the Vector that EnergyReport centers
     (EnergyReport, ((1.0, 2.0),), TypeError),
-    (is_optimal_direction, (1, _UNIT.coords), TypeError),
+    (is_optimal_direction, (1, _UNIT), TypeError),
     (minimize_width, (((1.0, 0.0),), OptimizerConfig()), TypeError),
     (minimize_width, (standard_simplex_vertices(2), None), TypeError),
     (energy_push, ((1.0, 2.0), 0, 3.0), TypeError),
     (projection_width, ((1.0, 0.0), standard_simplex_vertices(1)), TypeError),
+    # a Direction is a Vector, but a plain Vector is not a direction
+    (projection_width, (Vector((1.0, 0.0)), standard_simplex_vertices(1)), TypeError),
     (projection_width, (Direction(_UNIT), ((0.0, 0.0),)), TypeError),
     (distance, ((1.0,), Vector((1.0,))), TypeError),
     (check_exact_identities, (0,), DimensionError),
     (check_radii_distances, (-3,), DimensionError),
     (check_direction_families, (0,), DimensionError),
     (check_optimizer_agreement, (0, 0), DimensionError),
-    (is_optimal_direction, (0, Direction(Vector((1.0,)))), DimensionError),
+    (is_optimal_direction, (0, Direction((1.0,))), DimensionError),
     (energy_push, (Vector((1.0,)), 0, 2.0), DimensionError),
     # "no" is truthy, and float() accepts "3", b"3", bytearray(b"3") and
     # True: each call would run at (0, 0), i = 0, and return
@@ -212,6 +257,9 @@ BAD_ARGUMENTS = [
     (energy_push, (Vector((0.0, 0.0)), 0, [3.0]), ValueError),
     (energy_push, (Vector((0.0, 0.0)), 0, Decimal("3")), ValueError),
     (energy_push, (Vector((0.0, 0.0)), 0, 10**400), ValueError),
+    # float() raises OverflowError on an int coordinate too large for a float
+    (Vector, ([10**400],), ValueError),
+    (Direction, ([10**400, 0.0],), ValueError),
     (OptimizerConfig, (64, 10_000, math.inf), ValueError),
     # "no" is truthy: the row would run the optimizer and add its columns
     (_first_table_row, (1, "no", 0, 1), ValueError),
@@ -241,6 +289,7 @@ BAD_ARGUMENTS = [
         "minimize_width-cfg-none",
         "energy_push-tuple",
         "projection_width-u-tuple",
+        "projection_width-u-vector",
         "projection_width-points-tuple",
         "distance-tuple",
         "check_exact_identities-max_n-0",
@@ -259,6 +308,8 @@ BAD_ARGUMENTS = [
         "energy_push-new_value-list",
         "energy_push-new_value-decimal",
         "energy_push-new_value-int-overflow",
+        "vector-coordinate-int-overflow",
+        "direction-coordinate-int-overflow",
         "config-tol-inf",
         "table_rows-include_numeric-str",
         "width_squared-kind-str",
