@@ -20,8 +20,16 @@ from fractions import Fraction
 from itertools import product
 from typing import IO, Callable, Iterator, Sequence
 
-from .closed_form import SimplexKind, _halved, _squared_pairs, width, width_squared
-from .directions import OptimalFamily, is_optimal_direction
+from .closed_form import (
+    SimplexKind,
+    _halved,
+    _squared_pairs,
+    alpha_beta,
+    optimal_t,
+    width,
+    width_squared,
+)
+from .directions import is_optimal_direction, make_two_value_direction, optimal_low_sets
 from .geometry import (
     MAX_ORDER,
     MAX_SEED,
@@ -180,25 +188,24 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_family(family: OptimalFamily, out: IO[str]) -> None:
-    """Write every member of ``family``, one per line, in the order of
-    `enumerate_optimal_directions`: lexicographic over the words in
-    {alpha, beta} with t alphas, alpha first.
+def _write_family(n: int, out: IO[str]) -> None:
+    """Write every member of the optimal family of order n, one per line,
+    in the order of `enumerate_optimal_directions`: lexicographic over the
+    words in {alpha, beta} with t alphas, alpha first.
 
-    Only the representative, which the caller has read, is built, and so
-    checked for unit norm and sum zero; every member permutes its
-    coordinates, and math.fsum is correctly rounded, so no other check
-    could fail. A line splits into a head of t coordinates and a tail;
-    lexicographic order over lines is order over heads, then over tails.
-    So the tails are joined once, grouped by alpha count, and each head
-    is written in one call with every tail that completes it to t alphas
-    (at most 462 lines, 150,150 bytes, at n = 20). Every head has a
-    nonempty tail group, since t <= n + 1 - t.
+    No member is built here. `cmd_directions` builds the representative,
+    and so checks it for unit norm and sum zero; every member permutes
+    its coordinates, and math.fsum is correctly rounded, so no other
+    check could fail. A line splits into a head of t coordinates and a
+    tail; lexicographic order over lines is order over heads, then over
+    tails. So the tails are joined once, grouped by alpha count, and each
+    head is written in one call with every tail that completes it to t
+    alphas (at most 462 lines, 150,150 bytes, at n = 20). Every head has
+    a nonempty tail group, since t <= n + 1 - t.
     """
-    family.low_sets()  # raises above ENUMERATION_CAP before any write
-    n, t = family.n, family.t
-    low_text = format_decimal(family.alpha)
-    high_text = format_decimal(family.beta)
+    optimal_low_sets(n)  # raises above ENUMERATION_CAP before any write
+    t = optimal_t(n)
+    low_text, high_text = map(format_decimal, alpha_beta(n, t))
     tails: list[list[str]] = [[] for _ in range(n + 2 - t)]
     for tail in product((low_text, high_text), repeat=n + 1 - t):
         tails[tail.count(low_text)].append(" ".join(tail))
@@ -208,16 +215,18 @@ def _write_family(family: OptimalFamily, out: IO[str]) -> None:
 
 
 def cmd_directions(args: argparse.Namespace) -> int:
-    family = OptimalFamily(args.n)
-    family.representative  # built, hence validated, before any output
+    n = args.n
+    t = optimal_t(n)
+    make_two_value_direction(n, range(t))  # built, hence validated, before any output
     if args.list:
-        _write_family(family, sys.stdout)
+        _write_family(n, sys.stdout)
         return 0
+    alpha, beta = alpha_beta(n, t)
     # One write of all five lines: under a lowered int-to-str digit limit
     # the count's conversion raises, and that usage error writes nothing.
     sys.stdout.write(
-        f"n: {args.n}\nt: {family.t}\ncount: {math.comb(args.n + 1, family.t)}\n"
-        f"alpha: {format_decimal(family.alpha)}\nbeta: {format_decimal(family.beta)}\n"
+        f"n: {n}\nt: {t}\ncount: {math.comb(n + 1, t)}\n"
+        f"alpha: {format_decimal(alpha)}\nbeta: {format_decimal(beta)}\n"
     )
     return 0
 

@@ -20,7 +20,6 @@ direction. For odd n this family is the balanced sign vectors scaled by
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -29,7 +28,6 @@ from .geometry import (
     SUM_ZERO_TOL,
     DimensionError,
     Direction,
-    Frozen,
     PreconditionError,
     check_int,
     check_order,
@@ -46,43 +44,16 @@ ENUMERATION_CAP = 20
 MEMBERSHIP_TOL = 1e-10
 
 
-class OptimalFamily(Frozen):
-    """The width-achieving family of the standard n-simplex, as one
-    validated representative and the low sets of all its members.
-
-    Every member puts ``alpha`` on its t = optimal_t(n) low coordinates
-    and ``beta`` elsewhere: a coordinate permutation of ``representative``
-    (low set {0, ..., t-1}), which is built and checked when first read.
-    """
-
-    _fields = ("n", "t", "alpha", "beta")
-    n: int
-    t: int
-    alpha: float
-    beta: float
-
-    def __init__(self, n: int) -> None:
-        t = optimal_t(n)
-        alpha, beta = alpha_beta(n, t)
-        self.__dict__.update(n=n, t=t, alpha=alpha, beta=beta)
-
-    @cached_property
-    def representative(self) -> Direction:
-        """The member with low set {0..t-1}, built and checked on first read."""
-        return make_two_value_direction(self.n, range(self.t))
-
-    def low_sets(self) -> Iterator[tuple[int, ...]]:
-        """The members' low-coordinate index sets, in lexicographic order.
-
-        Raises ValueError above ENUMERATION_CAP, when called rather than
-        when first iterated.
-        """
-        if self.n > ENUMERATION_CAP:
-            raise ValueError(
-                "exhaustive enumeration is capped at "
-                f"n <= {ENUMERATION_CAP}, got {self.n}"
-            )
-        return combinations(range(self.n + 1), self.t)
+def optimal_low_sets(n: int) -> Iterator[tuple[int, ...]]:
+    """The optimal family's low sets, the optimal_t(n)-subsets of {0..n},
+    in lexicographic order; raises ValueError above ENUMERATION_CAP when
+    called, not when first iterated."""
+    t = optimal_t(n)
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"exhaustive enumeration is capped at n <= {ENUMERATION_CAP}, got {n}"
+        )
+    return combinations(range(n + 1), t)
 
 
 def make_two_value_direction(n: int, low_set: Iterable[int]) -> Direction:
@@ -103,7 +74,7 @@ def enumerate_optimal_directions(n: int) -> list[Direction]:
     directions with t = n/2, one per choice of low coordinates; the
     optimal set is these directions and their negations.
     """
-    return [make_two_value_direction(n, low) for low in OptimalFamily(n).low_sets()]
+    return [make_two_value_direction(n, low) for low in optimal_low_sets(n)]
 
 
 def is_optimal_direction(n: int, u: Direction) -> bool:
@@ -113,13 +84,13 @@ def is_optimal_direction(n: int, u: Direction) -> bool:
     MEMBERSHIP_TOL, a two-value direction with t = optimal_t(n): for
     every n a complete optimality verdict (see the module docstring).
     """
-    family = OptimalFamily(n)
+    t = optimal_t(n)
+    a, b = alpha_beta(n, t)
     if check_type(u, Direction, "u").dim != n + 1:
         raise DimensionError(f"direction has dimension {u.dim}, expected {n + 1}")
     if abs(u.coordinate_sum()) > SUM_ZERO_TOL:
         raise PreconditionError("direction must be sum-zero")
 
-    t, a, b = family.t, family.alpha, family.beta
     for coords in (u.coords, [-c for c in u.coords]):
         low = sum(1 for c in coords if abs(c - a) <= MEMBERSHIP_TOL)
         high = sum(1 for c in coords if abs(c - b) <= MEMBERSHIP_TOL)

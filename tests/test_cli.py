@@ -25,13 +25,10 @@ from simplexwidth.closed_form import (
     SimplexKind,
     circumradius_squared,
     inradius_squared,
+    optimal_t,
     width_squared,
 )
-from simplexwidth.directions import (
-    ENUMERATION_CAP,
-    OptimalFamily,
-    enumerate_optimal_directions,
-)
+from simplexwidth.directions import ENUMERATION_CAP, enumerate_optimal_directions
 from simplexwidth.geometry import MAX_SEED, DimensionError, Direction, check_order
 
 EXPECTED_TABLE_3 = (
@@ -236,8 +233,8 @@ def test_directions_summary_cap_is_usage_error(capsys):
     # at most 4,300 digits, Python's default int-to-str limit, at the cap,
     # and more one order above it
     n = cli.DIRECTIONS_MAX_N
-    assert (n + 1, OptimalFamily(n).t) == (14291, 7145)
-    assert (n + 2, OptimalFamily(n + 1).t) == (14292, 7146)
+    assert (n + 1, optimal_t(n)) == (14291, 7145)
+    assert (n + 2, optimal_t(n + 1)) == (14292, 7146)
     assert math.comb(14291, 7145) < 10**4300 <= math.comb(14292, 7146)
     code, out, _ = run(capsys, "directions", "--n", str(n))
     assert code == 0
@@ -329,7 +326,7 @@ class _WriteSizes(io.TextIOBase):
 def test_directions_list_writes_are_bounded(n, lines, size):
     # each write is one head joined to its tail group, never the family
     sink = _WriteSizes()
-    cli._write_family(OptimalFamily(n), sink)
+    cli._write_family(n, sink)
     assert (sink.lines, sink.bytes) == (lines, size)
 
 
@@ -377,7 +374,7 @@ def test_table_json_lines_are_the_csv_rows(capsys, argv):
 
 @pytest.mark.parametrize("argv", [("--n", "100"), ("--n", "5", "--list")])
 def test_directions_validates_one_direction(monkeypatch, capsys, argv):
-    # the representative, read before anything is printed
+    # the representative, built before anything is printed
     built = []
     original = Direction.__post_init__
 
@@ -510,10 +507,11 @@ def test_verify_golden(capsys):
         (11, "odd n<=11, even n<=10"),
     ],
 )
-def test_verify_names_the_family_orders_it_ran(capsys, max_n, ran):
-    code, out, _ = run(capsys, "verify", "--max-n", str(max_n))
-    assert code == 0
-    assert f"PASS direction-families: {ran}: families achieve the width" in out.splitlines()
+def test_verify_names_the_family_orders_it_ran(max_n, ran):
+    # the check alone; test_verify_golden pins the line verify prints
+    result = verification.check_direction_families(max_n)
+    assert result.passed
+    assert result.detail == f"{ran}: families achieve the width"
 
 
 def test_verify_reports_failed_checks_with_exit_1(monkeypatch, capsys):

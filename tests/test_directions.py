@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 from simplexwidth.closed_form import SimplexKind, alpha_beta, width_for_t, width_squared
 from simplexwidth.directions import (
     ENUMERATION_CAP,
-    OptimalFamily,
     enumerate_optimal_directions,
     is_optimal_direction,
     make_two_value_direction,
+    optimal_low_sets,
     optimal_t,
 )
 from simplexwidth.geometry import (
     DimensionError,
     Direction,
     PreconditionError,
-    Vector,
     projection_width,
     standard_simplex_vertices,
 )
@@ -92,29 +91,27 @@ def test_enumeration_cap_and_order_validation():
     for bad in (0, 2.5, True):
         with pytest.raises(DimensionError):
             enumerate_optimal_directions(bad)
-    # the family itself exists at any valid order; only its low sets,
-    # the enumeration, are capped
-    family = OptimalFamily(ENUMERATION_CAP + 1)
-    assert family.t == optimal_t(ENUMERATION_CAP + 1)
+    # t, alpha and beta come from the closed forms at any valid order;
+    # only the low sets, the enumeration, are capped
+    assert optimal_t(ENUMERATION_CAP + 1) == (ENUMERATION_CAP + 2) // 2
     with pytest.raises(ValueError, match="capped"):
-        family.low_sets()
+        optimal_low_sets(ENUMERATION_CAP + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, ENUMERATION_CAP])
 def test_optimal_family_representative_and_low_sets(n):
-    family = OptimalFamily(n)
     t = optimal_t(n)
-    assert family.t == t
-    assert (family.alpha, family.beta) == alpha_beta(n, t)
-    rep = family.representative
-    assert rep.coords == (family.alpha,) * t + (family.beta,) * (n + 1 - t)
+    alpha, beta = alpha_beta(n, t)
+    rep = make_two_value_direction(n, range(t))
+    assert rep.coords == (alpha,) * t + (beta,) * (n + 1 - t)
     assert rep.sum_zero
     assert is_optimal_direction(n, rep)
-    assert next(family.low_sets()) == tuple(range(t))
+    assert next(optimal_low_sets(n)) == tuple(range(t))
+    assert sum(1 for _ in optimal_low_sets(n)) == math.comb(n + 1, t)
     if n <= 8:
         members = [
-            tuple(family.alpha if i in low else family.beta for i in range(n + 1))
-            for low in family.low_sets()
+            tuple(alpha if i in low else beta for i in range(n + 1))
+            for low in optimal_low_sets(n)
         ]
         assert members == [d.coords for d in enumerate_optimal_directions(n)]
 
@@ -132,18 +129,10 @@ def _count_direction_builds(monkeypatch):
 
 
 def test_membership_builds_no_direction(monkeypatch):
-    member = negated(OptimalFamily(50).representative)
+    member = negated(make_two_value_direction(50, range(optimal_t(50))))
     built = _count_direction_builds(monkeypatch)
     assert is_optimal_direction(50, member)
     assert built == []
-
-
-def test_representative_is_built_once_on_first_read(monkeypatch):
-    built = _count_direction_builds(monkeypatch)
-    family = OptimalFamily(100)
-    assert built == []
-    assert family.representative is family.representative
-    assert len(built) == 1
 
 
 def test_make_two_value_direction_validation():
@@ -210,8 +199,8 @@ def test_membership_tolerance_boundary():
 
 
 def test_membership_above_the_enumeration_cap():
-    # the membership test reads t, alpha and beta from OptimalFamily,
-    # which serves every valid order, not only enumerable ones
+    # the membership test reads t, alpha and beta from the closed forms,
+    # which serve every valid order, not only enumerable ones
     n = 50
     member = make_two_value_direction(n, range(1, n + 1, 2))
     assert is_optimal_direction(n, member)

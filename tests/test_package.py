@@ -15,9 +15,9 @@ import simplexwidth
 from simplexwidth.cli import table_rows
 from simplexwidth.closed_form import width_squared
 from simplexwidth.directions import (
-    OptimalFamily,
     is_optimal_direction,
     make_two_value_direction,
+    optimal_low_sets,
 )
 from simplexwidth.energy import EnergyReport, energy_push
 from simplexwidth.geometry import (
@@ -68,8 +68,13 @@ def test_readme_python_blocks_run():
         exec(compile(block, str(readme), "exec"), {})
 
 
+_PACKAGE = Path(simplexwidth.__file__).parent
+
+
 @pytest.mark.parametrize(
-    "path", sorted(Path(simplexwidth.__file__).parent.glob("*.py")), ids=lambda p: p.name
+    "path",
+    sorted(_PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")),
+    ids=lambda p: p.name if p.parent == _PACKAGE else f"tests/{p.name}",
 )
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), str(path))
@@ -80,7 +85,7 @@ def test_every_import_is_used(path):
         and getattr(node, "module", None) != "__future__"
         for alias in node.names
     }
-    if path.name == "__init__.py":
+    if path == _PACKAGE / "__init__.py":
         # the package imports to export: a name is used if `__all__` lists it
         used = set(simplexwidth.__all__)
     else:
@@ -96,8 +101,8 @@ _UNIT = (0.6, 0.8)
 
 # (class, the shortest positional call, every argument by keyword with
 # the defaults spelled out, its repr, one argument and another value for
-# it). OptimalFamily and EnergyReport are built from their one source,
-# so their fields are not their arguments.
+# it). EnergyReport is built from its one source, so its fields are not
+# its arguments.
 VALUE_CASES = [
     (
         Vector,
@@ -119,13 +124,6 @@ VALUE_CASES = [
         {"points": (Vector((1.0, 0.0)), Vector((0.0, 1.0)))},
         "PointSet(points=(Vector(coords=(1.0, 0.0)), Vector(coords=(0.0, 1.0))))",
         ("points", (Vector((1.0, 0.0)),)),
-    ),
-    (
-        OptimalFamily,
-        (3,),
-        {"n": 3},
-        "OptimalFamily(n=3, t=2, alpha=-0.5, beta=0.5)",
-        ("n", 4),
     ),
     (
         EnergyReport,
@@ -178,9 +176,6 @@ VALUE_CASES = [
 )
 def test_value_classes_are_immutable_values(cls, args, kwargs, text, change):
     value = cls(**kwargs)
-    if cls is OptimalFamily:
-        # the cached member lives in the instance and changes none of the below
-        assert value.representative is value.representative
     assert cls(*args) == value
     assert cls(*kwargs.values()) == value
     assert hash(cls(*args)) == hash(value)
@@ -220,6 +215,8 @@ BAD_ARGUMENTS = [
     (make_two_value_direction, (3, [0, "1"]), ValueError),
     # the order is checked before it bounds the indices
     (make_two_value_direction, ("3", [0]), DimensionError),
+    # the order is checked before it is compared with the enumeration cap
+    (optimal_low_sets, ("3",), DimensionError),
     (derive_seed, (True, 1), ValueError),
     (derive_seed, (2**64, 1), ValueError),
     (derive_seed, (0, True), ValueError),
@@ -277,6 +274,7 @@ BAD_ARGUMENTS = [
         "low_set-index-bool",
         "low_set-index-str",
         "make_two_value_direction-order-str",
+        "optimal_low_sets-order-str",
         "derive_seed-bool",
         "derive_seed-2**64",
         "derive_seed-key-bool",
