@@ -19,6 +19,7 @@ from .geometry import (
     Frozen,
     PreconditionError,
     Vector,
+    _vector,
     check_flag,
     check_int,
     check_real,
@@ -39,7 +40,7 @@ class EnergyReport(Frozen):
 
     def __init__(self, v: Vector) -> None:
         mean = math.fsum(check_type(v, Vector, "v").coords) / v.dim
-        centered = Vector([c - mean for c in v.coords])
+        centered = _vector([c - mean for c in v.coords])
         energy = centered.norm_squared()
         self.__dict__.update(mean=mean, centered=centered, energy=energy)
 
@@ -91,7 +92,7 @@ def energy_push(
 
     moved = list(v.coords)
     moved[i] = new_value
-    u = Vector(moved)
+    u = _vector(moved)
     after = EnergyReport(u)
 
     if exact:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import repeat
+from operator import mul
 from typing import Sequence
 
 # Absolute tolerance on the squared norm of a unit vector, and on the
@@ -87,17 +89,13 @@ class Vector(Frozen):
     def __init__(self, coords: Sequence[float]) -> None:
         if isinstance(coords, (str, bytes, bytearray)):
             raise TypeError("vector coordinates must be numbers, not str or bytes")
-        # The one copy of the list callers pass: through a list, since tuple() of
-        # a map grows by reallocation and fragments the heap at mixed sizes.
-        try:
-            coords = tuple([*map(float, coords)])
-        except OverflowError:
-            # an int too large for a float
-            raise ValueError("vector coordinates must be finite") from None
+        # Each coordinate is checked, and converted, by the argument rule for a
+        # real number, in the one pass over coords. The one copy of the list
+        # callers pass: through a list, since tuple() of a map grows by
+        # reallocation and fragments the heap at mixed sizes.
+        coords = tuple([*map(check_real, coords, repeat("vector coordinate"))])
         if len(coords) == 0:
             raise DimensionError("a vector needs at least one coordinate")
-        if not all(map(math.isfinite, coords)):
-            raise ValueError("vector coordinates must be finite")
         self.__dict__["coords"] = coords
 
     @property
@@ -105,10 +103,22 @@ class Vector(Frozen):
         return len(self.coords)
 
     def norm_squared(self) -> float:
-        return math.fsum(c * c for c in self.coords)
+        return math.fsum(map(mul, self.coords, self.coords))
 
     def coordinate_sum(self) -> float:
         return math.fsum(self.coords)
+
+
+def _vector(coords: list[float]) -> Vector:
+    """A Vector of floats the package computed itself, built without the
+    per-coordinate check and conversion. Their finiteness is still
+    checked: arithmetic such as centering can overflow."""
+    coords = tuple(coords)
+    if not all(map(math.isfinite, coords)):
+        raise ValueError("vector coordinates must be finite")
+    v = Vector.__new__(Vector)
+    v.__dict__["coords"] = coords
+    return v
 
 
 class Direction(Vector):
@@ -282,7 +292,7 @@ def projection_width(u: Direction, points: PointSet) -> float:
         raise DimensionError(
             f"dimension mismatch: direction {u.dim} vs points {points.dim}"
         )
-    dots = [math.fsum(a * b for a, b in zip(u.coords, p.coords)) for p in points]
+    dots = [math.fsum(map(mul, u.coords, p.coords)) for p in points]
     return max(dots) - min(dots)
 
 

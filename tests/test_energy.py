@@ -67,6 +67,16 @@ def test_large_coordinates_center_and_push():
     assert increased
 
 
+def test_centering_that_overflows_raises():
+    # finite coordinates whose centered values are not: 1.7e308 less the
+    # mean -5.7e307 is about 2.3e308, past the largest float
+    v = Vector([1.7e308, -1.7e308, -1.7e308])
+    with pytest.raises(ValueError, match="finite"):
+        EnergyReport(v)
+    with pytest.raises(ValueError, match="finite"):
+        energy_push(v, 0, 1.75e308)
+
+
 @given(st.lists(st.floats(-1e12, 1e12), min_size=2, max_size=60))
 def test_center_vector_accepts_large_coordinates(coords):
     # the rounding error of the centered sum grows with the coordinates'

@@ -290,6 +290,60 @@ def test_projection_width_negation_and_shift_invariance(dir_coords, shift_coords
     assert projection_width(u, shifted) == pytest.approx(w, abs=1e-6)
 
 
+# one list of moderate floats, whose sums a naive sum often rounds
+# differently, or one of -0.0, subnormals, and magnitudes near 1e300,
+# whose products overflow
+kernel_values = st.one_of(
+    st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=40),
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=1e299, max_value=1e301),
+            st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300]),
+        ),
+        min_size=9,
+        max_size=40,
+    ),
+)
+
+
+def outcome(kernel):
+    """The bits of the kernel's value, or the class of the error it raised:
+    fsum raises OverflowError when a partial sum of finite terms overflows."""
+    try:
+        return kernel().hex()
+    except (OverflowError, ValueError) as error:
+        return type(error)
+
+
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8).filter(
+        lambda c: math.fsum(x * x for x in c) > 1e-6
+    ),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308]),
+    kernel_values,
+)
+def test_kernels_match_the_generator_spelling_bit_for_bit(raw, special, values):
+    # the products summed as a generator, as before map(mul, ...)
+    def dot(a, b):
+        return math.fsum(x * y for x, y in zip(a, b))
+
+    v = Vector(values)
+    assert outcome(v.norm_squared) == outcome(lambda: dot(v.coords, v.coords))
+
+    # a unit direction; the special coordinate's square is 0.0
+    norm = math.sqrt(math.fsum(x * x for x in raw))
+    u = Direction([x / norm for x in raw] + [special])
+    rows = [values[k : k + u.dim] for k in range(0, len(values) - u.dim + 1, u.dim)]
+    points = PointSet(tuple(Vector(row) for row in rows))
+
+    def reference():
+        dots = [dot(u.coords, p.coords) for p in points]
+        return max(dots) - min(dots)
+
+    assert outcome(lambda: projection_width(u, points)) == outcome(reference)
+
+
 def test_distance_matches_pythagoras():
     assert distance(Vector((0.0, 0.0)), Vector((3.0, 4.0))) == 5.0
     with pytest.raises(DimensionError):

@@ -9,6 +9,7 @@ from decimal import Decimal
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 import simplexwidth
@@ -58,6 +59,15 @@ def test_public_names_resolve_once():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     ]
     assert sorted(names) == sorted(public)
+
+
+def test_trusted_vector_build_is_private():
+    # callers outside the package build through the checked Vector, numpy
+    # integers by way of .tolist(); geometry._vector, which skips the check
+    # for floats the package computed itself, is no public name
+    assert Vector(np.arange(3).tolist()).coords == (0.0, 1.0, 2.0)
+    assert "_vector" not in simplexwidth.__all__
+    assert not hasattr(simplexwidth, "_vector")
 
 
 def test_readme_python_blocks_run():
@@ -257,6 +267,16 @@ BAD_ARGUMENTS = [
     # float() raises OverflowError on an int coordinate too large for a float
     (Vector, ([10**400],), ValueError),
     (Direction, ([10**400, 0.0],), ValueError),
+    # a coordinate is a real number: float() accepts "1", b"1" and True, and
+    # raises TypeError on None
+    (Vector, (["1", "0"],), ValueError),
+    (Vector, ([b"1"],), ValueError),
+    (Vector, ([True, False],), ValueError),
+    (Vector, ([None],), ValueError),
+    (Direction, ([True, False],), ValueError),
+    (Direction, (["0.6", "0.8"],), ValueError),
+    # a numpy integer scalar is not an int; .tolist() makes it one
+    (Vector, (np.arange(3),), ValueError),
     (OptimizerConfig, (64, 10_000, math.inf), ValueError),
     # "no" is truthy: the row would run the optimizer and add its columns
     (_first_table_row, (1, "no", 0, 1), ValueError),
@@ -308,6 +328,13 @@ BAD_ARGUMENTS = [
         "energy_push-new_value-int-overflow",
         "vector-coordinate-int-overflow",
         "direction-coordinate-int-overflow",
+        "vector-coordinate-str",
+        "vector-coordinate-bytes",
+        "vector-coordinate-bool",
+        "vector-coordinate-none",
+        "direction-coordinate-bool",
+        "direction-coordinate-str",
+        "vector-coordinate-numpy-int",
         "config-tol-inf",
         "table_rows-include_numeric-str",
         "width_squared-kind-str",
