@@ -190,7 +190,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def _write_family(n: int, out: IO[str]) -> None:
     """Write every member of the optimal family of order n, one per line,
-    in the order of `enumerate_optimal_directions`: lexicographic over the
+    in the order of `optimal_low_sets(n)`: lexicographic over the
     words in {alpha, beta} with t alphas, alpha first.
 
     No member is built here. `cmd_directions` builds the representative,
@@ -270,6 +270,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The optimizer's options default to `OptimizerConfig`'s own values.
+    # `table --seed` and `verify --seed` are run seeds, each order's
+    # optimizer seed derived from them, so they keep their own 0.
+    config = OptimizerConfig()
     parser = _Parser(
         prog="simplexwidth",
         description="Exact widths, radii, and optimal directions of regular simplices.",
@@ -284,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append the numeric minimizer's width and its absolute error",
     )
-    table.add_argument("--restarts", type=_bounded_int(MAX_RESTARTS), default=64)
+    table.add_argument(
+        "--restarts", type=_bounded_int(MAX_RESTARTS), default=config.restarts
+    )
     table.add_argument("--seed", type=_bounded_int(MAX_SEED, 0), default=0)
     table.set_defaults(func=cmd_table)
 
@@ -302,9 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     # `optimize` passes the minimizer standard_simplex_vertices(n), which
     # holds n and c, not its (n+1)^2 coordinates, and takes that builder's cap.
     optimize.add_argument("--n", type=_bounded_int(VERTEX_MAX_ORDER), required=True)
-    optimize.add_argument("--restarts", type=_bounded_int(MAX_RESTARTS), default=64)
-    optimize.add_argument("--seed", type=_bounded_int(MAX_SEED, 0), default=0)
-    optimize.add_argument("--tol", type=float, default=1e-10)
+    optimize.add_argument(
+        "--restarts", type=_bounded_int(MAX_RESTARTS), default=config.restarts
+    )
+    optimize.add_argument("--seed", type=_bounded_int(MAX_SEED, 0), default=config.seed)
+    optimize.add_argument("--tol", type=float, default=config.tol)
     optimize.set_defaults(func=cmd_optimize)
 
     directions = sub.add_parser(

@@ -21,7 +21,11 @@ from .closed_form import (
     width_for_t,
     width_squared,
 )
-from .directions import enumerate_optimal_directions, is_optimal_direction
+from .directions import (
+    is_optimal_direction,
+    make_two_value_direction,
+    optimal_low_sets,
+)
 from .energy import energy_push
 from .geometry import (
     MAX_SEED,
@@ -160,22 +164,27 @@ def check_enumeration_oracle(max_n: int = EXACT_MAX_N) -> CheckResult:
 
 
 def check_direction_families(max_n: int = ODD_FAMILY_MAX_N) -> CheckResult:
-    """Every enumerated family member achieves the closed-form width on
-    the standard simplex within 1e-12, with the right family size."""
+    """Every family member achieves the closed-form width on the standard
+    simplex within 1e-12, with the right family size.
+
+    The members are walked, not held: each is built from its low set just
+    before it is projected, so the family is never a list.
+    """
     name = "direction-families"
     max_n = _bound(max_n, ODD_FAMILY_MAX_N)
     for n in range(1, max_n + 1):
-        family = enumerate_optimal_directions(n)
+        size = sum(1 for _ in optimal_low_sets(n))
         expected_count = math.comb(n + 1, (n + 1) // 2)
-        if len(family) != expected_count:
+        if size != expected_count:
             return CheckResult(
                 name,
                 False,
-                f"family size {len(family)} != C({n + 1},{(n + 1) // 2}) at n={n}",
+                f"family size {size} != C({n + 1},{(n + 1) // 2}) at n={n}",
             )
         vertices = standard_simplex_vertices(n)
         target = math.sqrt(width_squared(n, SimplexKind.STANDARD))
-        for direction in family:
+        for low in optimal_low_sets(n):
+            direction = make_two_value_direction(n, low)
             if abs(projection_width(direction, vertices) - target) > 1e-12:
                 return CheckResult(name, False, f"achievement fails at n={n}")
     # the largest odd and even orders run; n = 1 runs no even order

@@ -30,6 +30,7 @@ from simplexwidth.closed_form import (
 )
 from simplexwidth.directions import ENUMERATION_CAP, enumerate_optimal_directions
 from simplexwidth.geometry import MAX_SEED, DimensionError, Direction, check_order
+from simplexwidth.optimizer import OptimizerConfig
 
 EXPECTED_TABLE_3 = (
     "n,parity,width_std_sq,width_reg_sq,width_reg,inradius,circumradius\n"
@@ -461,6 +462,30 @@ def test_restarts_cap_is_usage_error(capsys, argv):
     assert out == ""
     at_cap = cli.build_parser().parse_args([*argv, "--restarts", str(cli.MAX_RESTARTS)])
     assert at_cap.restarts == cli.MAX_RESTARTS
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        OptimizerConfig(),
+        # build_parser must read the defaults, not restate them
+        OptimizerConfig(restarts=7, tol=1e-3, seed=5),
+    ],
+)
+def test_optimizer_options_default_to_the_optimizer_config(monkeypatch, config):
+    monkeypatch.setattr(cli, "OptimizerConfig", lambda: config)
+    parser = cli.build_parser()
+    optimize = parser.parse_args(["optimize", "--n", "3"])
+    table = parser.parse_args(["table", "--max-n", "3"])
+    assert (optimize.restarts, optimize.tol, optimize.seed) == (
+        config.restarts,
+        config.tol,
+        config.seed,
+    )
+    assert table.restarts == config.restarts
+    # run seeds, keyed per order by derive_seed, not optimizer seeds
+    assert table.seed == 0
+    assert parser.parse_args(["verify"]).seed == 0
 
 
 def test_optimize_determinism(capsys):

@@ -1,16 +1,23 @@
-"""The verification battery's energy fuzz (its argument rule and its heap)
-and the per-order seeds of its descents."""
+"""The verification battery's energy fuzz (its argument rule and its heap),
+the footprint of its family sweep, and the per-order seeds of its descents."""
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from simplexwidth import verification
-from simplexwidth.verification import derive_seed, energy_fuzz, run_all_checks
+from simplexwidth.verification import (
+    ODD_FAMILY_MAX_N,
+    check_direction_families,
+    derive_seed,
+    energy_fuzz,
+    run_all_checks,
+)
 
 
 @pytest.mark.parametrize("n", [0, 1, 100])
@@ -79,3 +86,17 @@ def test_energy_fuzz_leaves_the_heap_near_its_size():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 2**20
+
+
+def test_direction_families_holds_one_member_at_a_time():
+    # Built as a list, the 924 members at n = 11 peak near 524 KiB; walked
+    # from their low sets, one at a time, the sweep peaks at 8 to 15 KiB.
+    check_direction_families(3)  # warm-up: first-use allocations
+    tracemalloc.start()
+    try:
+        result = check_direction_families(ODD_FAMILY_MAX_N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.detail
+    assert peak < 64 * 1024
