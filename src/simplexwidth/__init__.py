@@ -27,11 +27,7 @@ from .directions import (
     is_optimal_direction,
     make_two_value_direction,
 )
-from .energy import (
-    ENERGY_REL_TOL,
-    EnergyReport,
-    energy_push,
-)
+from .energy import ENERGY_REL_TOL, energy_push
 from .geometry import (
     MAX_ORDER,
     SUM_ZERO_TOL,
@@ -63,7 +59,6 @@ __all__ = [
     "Direction",
     "ENERGY_REL_TOL",
     "ENUMERATION_CAP",
-    "EnergyReport",
     "MAX_ORDER",
     "MEMBERSHIP_TOL",
     "OptimizerConfig",

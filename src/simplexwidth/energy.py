@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
+from typing import Sequence
 
 from .geometry import (
     DimensionError,
-    Frozen,
     PreconditionError,
     Vector,
-    _vector,
     check_flag,
     check_int,
     check_real,
@@ -30,22 +30,16 @@ from .geometry import (
 ENERGY_REL_TOL = 1e-12
 
 
-class EnergyReport(Frozen):
-    """Mean, mean-centered vector, and energy of ``v``, computed from it."""
-
-    _fields = ("mean", "centered", "energy")
-    mean: float
-    centered: Vector
-    energy: float
-
-    def __init__(self, v: Vector) -> None:
-        mean = math.fsum(check_type(v, Vector, "v").coords) / v.dim
-        centered = _vector([c - mean for c in v.coords])
-        energy = centered.norm_squared()
-        self.__dict__.update(mean=mean, centered=centered, energy=energy)
+def _mean_energy(coords: Sequence[float]) -> tuple[float, float]:
+    """Mean and energy of the coordinates; ValueError if centering overflows."""
+    mean = math.fsum(coords) / len(coords)
+    centered = [c - mean for c in coords]
+    if not all(map(math.isfinite, centered)):
+        raise ValueError("centered coordinates must be finite")
+    return mean, math.fsum(map(mul, centered, centered))
 
 
-def _scaled_energy(coords: tuple[float, ...]) -> Fraction:
+def _scaled_energy(coords: Sequence[float]) -> Fraction:
     """d times the energy, exactly: d·Σq² − (Σq)² over the coordinates'
     binary values q, summed as integers over their common denominator."""
     ratios = [c.as_integer_ratio() for c in coords]
@@ -56,9 +50,9 @@ def _scaled_energy(coords: tuple[float, ...]) -> Fraction:
 
 def energy_push(
     v: Vector, i: int, new_value: float, exact: bool = False
-) -> tuple[EnergyReport, EnergyReport, bool]:
-    """Replace coordinate i with a value strictly farther from the mean
-    and report both energies plus the verdict "energy increased".
+) -> tuple[float, float, bool]:
+    """Replace coordinate i with a value strictly farther from the mean;
+    return the energies before and after, and the verdict "energy increased".
 
     Hypothesis, checked before doing anything: v has d >= 2 coordinates
     (one coordinate always has energy 0; d = 1 raises DimensionError),
@@ -77,12 +71,11 @@ def energy_push(
     new_value = check_real(new_value, "new coordinate value")
     check_flag(exact, "exact")
 
-    before = EnergyReport(v)
+    mean, before = _mean_energy(v.coords)
+    vi, nv = v.coords[i], new_value
     if exact:
         q = [Fraction(c) for c in v.coords]
         mean, vi, nv = sum(q) / dim, q[i], Fraction(new_value)
-    else:
-        mean, vi, nv = before.mean, v.coords[i], new_value
     if not (nv > vi >= mean or nv < vi < mean):
         raise PreconditionError(
             "coordinate must start on or beyond the mean and move strictly "
@@ -92,12 +85,10 @@ def energy_push(
 
     moved = list(v.coords)
     moved[i] = new_value
-    u = _vector(moved)
-    after = EnergyReport(u)
+    after = _mean_energy(moved)[1]
 
     if exact:
-        increased = _scaled_energy(u.coords) > _scaled_energy(v.coords)
+        increased = _scaled_energy(moved) > _scaled_energy(v.coords)
     else:
-        gap = after.energy - before.energy
-        increased = gap > ENERGY_REL_TOL * max(1.0, before.energy)
+        increased = after - before > ENERGY_REL_TOL * max(1.0, before)
     return before, after, increased

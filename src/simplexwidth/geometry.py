@@ -110,9 +110,9 @@ class Vector(Frozen):
 
 
 def _vector(coords: list[float]) -> Vector:
-    """A Vector of floats the package computed itself, built without the
-    per-coordinate check and conversion. Their finiteness is still
-    checked: arithmetic such as centering can overflow."""
+    """A Vector of floats the package drew itself (the energy fuzz's
+    coordinates), built without the per-coordinate check and conversion.
+    Their finiteness is still checked."""
     coords = tuple(coords)
     if not all(map(math.isfinite, coords)):
         raise ValueError("vector coordinates must be finite")
@@ -206,6 +206,17 @@ class PointSet(Frozen):
 # IndexError; an object argument of the wrong class raises TypeError.
 
 
+def _shown(value: object) -> str:
+    """``repr(value)``, or the bit length of an int past the int-to-str
+    digit limit, whose repr raises ValueError in place of the rule's error."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to show"
+
+
 def check_type(value: object, cls: type, name: str):
     """Return ``value`` if it is a ``cls``; raise TypeError otherwise."""
     if not isinstance(value, cls):
@@ -225,16 +236,17 @@ def check_int(
     of another type raises ValueError when ``error`` is not a ValueError."""
     if not isinstance(value, int) or isinstance(value, bool):
         wrong_type = error if issubclass(error, ValueError) else ValueError
-        raise wrong_type(f"{name} must be an integer, got {value!r}")
+        raise wrong_type(f"{name} must be an integer, got {_shown(value)}")
     if value < lo or hi is not None and value > hi:
-        raise error(f"{name} must be in {lo}..{'' if hi is None else hi}, got {value}")
+        bounds = f"{lo}..{'' if hi is None else hi}"
+        raise error(f"{name} must be in {bounds}, got {_shown(value)}")
     return value
 
 
 def check_flag(value: bool, name: str) -> bool:
     """Return ``value`` if it is a bool; raise ValueError otherwise."""
     if not isinstance(value, bool):
-        raise ValueError(f"{name} must be a bool, got {value!r}")
+        raise ValueError(f"{name} must be a bool, got {_shown(value)}")
     return value
 
 
@@ -249,7 +261,7 @@ def check_real(value: float, name: str) -> float:
         else:
             if math.isfinite(x):
                 return x
-    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    raise ValueError(f"{name} must be a finite real number, got {_shown(value)}")
 
 
 def check_order(n: int, cap: int = MAX_ORDER) -> None:

@@ -8,39 +8,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexwidth.energy import EnergyReport, _scaled_energy, energy_push
+from simplexwidth.energy import _scaled_energy, energy_push
 from simplexwidth.geometry import PreconditionError, Vector
 from simplexwidth.optimizer import _snap
 
 
+def _push_top(coords, exact=False):
+    # pushing the largest coordinate up by at least 1 always satisfies the
+    # hypothesis: it starts on or above the mean
+    top = max(range(len(coords)), key=coords.__getitem__)
+    new_value = coords[top] + max(1.0, abs(coords[top]))
+    return energy_push(Vector(coords), top, new_value, exact=exact)
+
+
+def _generator_energy(coords):
+    # the energy spelled with generators: mean, centered tuple, sum of squares
+    mean = math.fsum(coords) / len(coords)
+    centered = tuple(map(float, tuple(c - mean for c in coords)))
+    return math.fsum(c * c for c in centered)
+
+
 def test_center_vector_basic():
-    rep = EnergyReport(Vector((1.0, 2.0, 3.0)))
-    assert rep.mean == 2.0
-    assert rep.centered.coords == (-1.0, 0.0, 1.0)
-    assert rep.energy == 2.0
+    v = Vector((1.0, 2.0, 3.0))
+    # (1, 2, 3) centers to (-1, 0, 1); (1, 2, 4) about 7/3 to
+    # (-4/3, -1/3, 5/3)
+    before, after, increased = energy_push(v, 2, 4.0)
+    assert before == 2.0
+    assert after == pytest.approx(14.0 / 3.0, rel=1e-15)
+    assert increased
+    # the mean is 2.0 exactly: the middle coordinate sits on it, so it may
+    # move up but not down
+    assert energy_push(v, 1, 2.5)[0] == 2.0
+    with pytest.raises(PreconditionError):
+        energy_push(v, 1, 1.5)
 
 
 @given(
     st.lists(
         st.one_of(st.floats(min_value=-100.0, max_value=100.0), st.just(-0.0)),
-        min_size=1,
+        min_size=2,
         max_size=50,
     )
 )
 def test_center_vector_matches_the_generator_spelling_bit_for_bit(coords):
     v = Vector(coords)
-    mean = math.fsum(v.coords) / v.dim
-    centered = tuple(map(float, tuple(c - mean for c in v.coords)))
-    got = EnergyReport(v).centered.coords
-    assert [c.hex() for c in got] == [c.hex() for c in centered]
+    top = max(range(v.dim), key=v.coords.__getitem__)
+    moved = list(v.coords)
+    moved[top] += 1.0
+    before, after, _ = energy_push(v, top, moved[top])
+    assert before.hex() == _generator_energy(v.coords).hex()
+    assert after.hex() == _generator_energy(moved).hex()
 
 
 def test_center_vector_fixed_points():
-    rep = EnergyReport(Vector((1.0, -1.0)))
-    assert rep.mean == 0.0
-    assert rep.centered.coords == (1.0, -1.0)
-    assert rep.energy == 2.0
-    assert EnergyReport(Vector((4.0, 4.0, 4.0))).energy == 0.0
+    # (1, -1) is centered already: its mean is 0.0, so -1 lies strictly
+    # below it and may move down
+    before, after, increased = energy_push(Vector((1.0, -1.0)), 1, -2.0)
+    assert before == 2.0
+    assert after == 4.5  # (1, -2) centers to (1.5, -1.5)
+    assert increased
+    before, _, _ = energy_push(Vector((4.0, 4.0, 4.0)), 0, 5.0)
+    assert before == 0.0
 
 
 @given(
@@ -49,10 +77,10 @@ def test_center_vector_fixed_points():
     st.floats(-4.0, 4.0),
 )
 def test_energy_translation_and_scaling(coords, shift, scale):
-    base = EnergyReport(Vector(tuple(coords))).energy
-    shifted = EnergyReport(Vector(tuple(x + shift for x in coords))).energy
+    base = _push_top(coords)[0]
+    shifted = _push_top([x + shift for x in coords])[0]
     assert shifted == pytest.approx(base, abs=1e-9)
-    scaled = EnergyReport(Vector(tuple(scale * x for x in coords))).energy
+    scaled = _push_top([scale * x for x in coords])[0]
     assert scaled == pytest.approx(scale * scale * base, rel=1e-9, abs=1e-9)
 
 
@@ -60,10 +88,9 @@ def test_large_coordinates_center_and_push():
     # the coordinate sum after centering is about 3.6e-12 here, and
     # centering must not hold it to an absolute tolerance
     v = Vector((0.0, 0.0, 26603.0))
-    rep = EnergyReport(v)
-    assert rep.mean == math.fsum(v.coords) / 3
     before, after, increased = energy_push(v, 2, 30000.0)
-    assert before.energy == rep.energy
+    assert before == _generator_energy(v.coords)
+    assert after == _generator_energy((0.0, 0.0, 30000.0))
     assert increased
 
 
@@ -72,37 +99,35 @@ def test_centering_that_overflows_raises():
     # mean -5.7e307 is about 2.3e308, past the largest float
     v = Vector([1.7e308, -1.7e308, -1.7e308])
     with pytest.raises(ValueError, match="finite"):
-        EnergyReport(v)
-    with pytest.raises(ValueError, match="finite"):
         energy_push(v, 0, 1.75e308)
+    # centering overflows only after the move: 1e308 less the mean -4e307
+    # is 1.4e308, and 1.7e308 less the mean -1.7e307 about 1.87e308
+    with pytest.raises(ValueError, match="finite"):
+        energy_push(Vector([1e308, -1.1e308, -1.1e308]), 0, 1.7e308)
 
 
 @given(st.lists(st.floats(-1e12, 1e12), min_size=2, max_size=60))
 def test_center_vector_accepts_large_coordinates(coords):
     # the rounding error of the centered sum grows with the coordinates'
     # magnitude; centering accepts it, and the exact verdict is unaffected
-    v = Vector(coords)
-    rep = EnergyReport(v)
-    assert rep.energy == rep.centered.norm_squared()
-    top = max(range(v.dim), key=v.coords.__getitem__)
-    new_value = v.coords[top] + max(1.0, abs(v.coords[top]))
-    _, after, increased = energy_push(v, top, new_value, exact=True)
+    before, after, increased = _push_top(coords, exact=True)
+    assert before == _generator_energy(coords)
     assert increased
-    assert after.energy >= rep.energy
+    assert after >= before
 
 
 def test_push_upward_from_mean():
     before, after, increased = energy_push(Vector((0.0, 0.0)), 0, 1.0)
-    assert before.energy == 0.0
-    assert after.energy == pytest.approx(0.5, abs=1e-15)
+    assert before == 0.0
+    assert after == pytest.approx(0.5, abs=1e-15)
     assert increased
 
 
 def test_push_downward_below_mean():
     # v_0 = 0 sits strictly below the mean 1; pushing it further down
     before, after, increased = energy_push(Vector((0.0, 2.0)), 0, -1.0)
-    assert before.energy == 2.0
-    assert after.energy == pytest.approx(4.5, abs=1e-12)
+    assert before == 2.0
+    assert after == pytest.approx(4.5, abs=1e-12)
     assert increased
 
 
@@ -113,7 +138,7 @@ def test_exact_increment_identity():
     before, after, increased = energy_push(v, 0, -2.0, exact=True)
     a, delta, d = 3.0, 3.0, 3
     expected = delta**2 * (d - 1) / d + 2 * a * delta
-    assert after.energy - before.energy == pytest.approx(expected, rel=1e-12)
+    assert after - before == pytest.approx(expected, rel=1e-12)
     assert increased
 
 
@@ -122,8 +147,8 @@ def test_push_mirrored_spot_values():
     # coordinate of (-1,0,1) by 1 both land at energy 14/3
     _, after_up, up = energy_push(Vector((0.0, 1.0, 2.0)), 2, 3.0)
     _, after_down, down = energy_push(Vector((-1.0, 0.0, 1.0)), 0, -2.0)
-    assert after_up.energy == pytest.approx(14.0 / 3.0, rel=1e-14)
-    assert after_down.energy == pytest.approx(14.0 / 3.0, rel=1e-14)
+    assert after_up == pytest.approx(14.0 / 3.0, rel=1e-14)
+    assert after_down == pytest.approx(14.0 / 3.0, rel=1e-14)
     assert up and down
 
 
@@ -142,7 +167,7 @@ def test_hypothesis_rejections():
 def test_upward_from_exact_mean_is_allowed():
     before, after, increased = energy_push(Vector((1.0, 1.0)), 0, 2.0)
     assert increased
-    assert after.energy > before.energy
+    assert after > before
 
 
 def test_index_and_value_validation():
@@ -229,7 +254,7 @@ def test_outward_moves_always_increase_energy(coords, data):
         new_value = v.coords[i] - delta
     before, after, increased = energy_push(v, i, new_value)
     assert increased
-    assert after.energy > before.energy
+    assert after > before
 
 
 @settings(max_examples=300)

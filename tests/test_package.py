@@ -14,13 +14,13 @@ import pytest
 
 import simplexwidth
 from simplexwidth.cli import table_rows
-from simplexwidth.closed_form import width_squared
+from simplexwidth.closed_form import SimplexKind, width_squared
 from simplexwidth.directions import (
     is_optimal_direction,
     make_two_value_direction,
     optimal_low_sets,
 )
-from simplexwidth.energy import EnergyReport, energy_push
+from simplexwidth.energy import energy_push
 from simplexwidth.geometry import (
     DimensionError,
     Direction,
@@ -111,8 +111,7 @@ _UNIT = (0.6, 0.8)
 
 # (class, the shortest positional call, every argument by keyword with
 # the defaults spelled out, its repr, one argument and another value for
-# it). EnergyReport is built from its one source, so its fields are not
-# its arguments.
+# it).
 VALUE_CASES = [
     (
         Vector,
@@ -134,13 +133,6 @@ VALUE_CASES = [
         {"points": (Vector((1.0, 0.0)), Vector((0.0, 1.0)))},
         "PointSet(points=(Vector(coords=(1.0, 0.0)), Vector(coords=(0.0, 1.0))))",
         ("points", (Vector((1.0, 0.0)),)),
-    ),
-    (
-        EnergyReport,
-        (Vector((1.0, 3.0)),),
-        {"v": Vector((1.0, 3.0))},
-        "EnergyReport(mean=2.0, centered=Vector(coords=(-1.0, 1.0)), energy=2.0)",
-        ("v", Vector((1.0, 4.0))),
     ),
     (
         OptimizerConfig,
@@ -233,8 +225,6 @@ BAD_ARGUMENTS = [
     (energy_fuzz, (1, True), ValueError),
     (OptimizerConfig, (64, 10_000, "1"), ValueError),
     (OptimizerConfig, (64, 10_000, True), ValueError),
-    # a tuple in place of the Vector that EnergyReport centers
-    (EnergyReport, ((1.0, 2.0),), TypeError),
     (is_optimal_direction, (1, _UNIT), TypeError),
     (minimize_width, (((1.0, 0.0),), OptimizerConfig()), TypeError),
     (minimize_width, (standard_simplex_vertices(2), None), TypeError),
@@ -282,6 +272,13 @@ BAD_ARGUMENTS = [
     (_first_table_row, (1, "no", 0, 1), ValueError),
     # the kind's value in place of the kind
     (width_squared, (5, "regular"), TypeError),
+    # an int past the int-to-str digit limit, out of range: repr refuses
+    # it with ValueError, so the message shows its bit length instead
+    (width_squared, (10**5000, SimplexKind.STANDARD), DimensionError),
+    (make_two_value_direction, (3, [10**5000]), IndexError),
+    (energy_push, (Vector((0.0, 0.0)), 10**5000, 1.0), IndexError),
+    # of the wrong type, in a list that repr refuses for the same reason
+    (width_squared, ([10**5000], SimplexKind.STANDARD), DimensionError),
 ]
 
 
@@ -301,7 +298,6 @@ BAD_ARGUMENTS = [
         "energy_fuzz-seed-bool",
         "config-tol-str",
         "config-tol-bool",
-        "energy_report-centered-tuple",
         "is_optimal_direction-tuple",
         "minimize_width-points-tuple",
         "minimize_width-cfg-none",
@@ -338,9 +334,29 @@ BAD_ARGUMENTS = [
         "config-tol-inf",
         "table_rows-include_numeric-str",
         "width_squared-kind-str",
+        "width_squared-order-huge-int",
+        "low_set-index-huge-int",
+        "energy_push-index-huge-int",
+        "width_squared-order-list-of-huge-int",
     ],
 )
 def test_bad_arguments_raise_by_the_rule(entry, args, error):
     with pytest.raises(error) as info:
         entry(*args)
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "entry,args,name",
+    [
+        (Vector, ([10**5000],), "vector coordinate"),
+        (derive_seed, (10**5000, 1), "seed"),
+        (energy_push, (Vector((0.0, 0.0)), 0, 1.0, 10**5000), "exact"),
+    ],
+    ids=["vector-coordinate", "derive_seed-seed", "energy_push-exact"],
+)
+def test_an_int_too_long_to_print_shows_its_bit_length(entry, args, name):
+    with pytest.raises(ValueError) as info:
+        entry(*args)
+    assert str(info.value).startswith(f"{name} must be")
+    assert str(info.value).endswith(f"got an int of {(10**5000).bit_length()} bits")

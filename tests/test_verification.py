@@ -48,6 +48,44 @@ def test_run_all_checks_rejects_its_seed_before_any_check(monkeypatch):
     assert calls == []
 
 
+def _run(script):
+    # a fresh interpreter, for a script that measures or patches the process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+# Prints how many Vectors a 100-trial fuzz builds, counted at __new__: an
+# assigned __new__ cannot be deleted cleanly, so this runs on its own.
+_FUZZ_VECTORS = """
+from simplexwidth.geometry import Vector
+from simplexwidth.verification import energy_fuzz
+
+built = 0
+
+def new(cls, *args):
+    global built
+    built += 1
+    return object.__new__(cls)
+
+Vector.__new__ = new
+assert energy_fuzz(100, 0) == (100, 0)
+print(built)
+"""
+
+
+def test_energy_fuzz_builds_one_vector_per_trial():
+    # the draws are the only vectors: energy_push centers plain lists
+    assert _run(_FUZZ_VECTORS) == 100
+
+
 # Prints how many bytes the resident set grows over a 10,000-trial fuzz,
 # after a warm-up that loads numpy and fills the allocator's steady state.
 # The high-water mark (ru_maxrss) would not do: a child inherits its
@@ -73,19 +111,11 @@ print(rss() - before)
 def test_energy_fuzz_leaves_the_heap_near_its_size():
     # Tuples built from generators of 2..50 coordinates grew by
     # reallocation and left about 3 MiB of fragmented heap behind; built
-    # from lists, the growth is about 0.4 MiB. Reverting Vector or
-    # EnergyReport's centered vector alone to the generator form grows it
-    # past 1 MiB.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", _FUZZ_RSS_GROWTH],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 2**20
+    # from lists, the growth is about 0.2 MiB. With the draws the fuzz's
+    # only vectors (energy_push centers plain lists) it is about 50 KiB,
+    # and reverting `_vector` to the generator form grows it to about
+    # 0.5 MiB, which this bound no longer catches.
+    assert _run(_FUZZ_RSS_GROWTH) < 2**20
 
 
 def test_direction_families_holds_one_member_at_a_time():
