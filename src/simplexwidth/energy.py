@@ -31,12 +31,17 @@ ENERGY_REL_TOL = 1e-12
 
 
 def _mean_energy(coords: Sequence[float]) -> tuple[float, float]:
-    """Mean and energy of the coordinates; ValueError if centering overflows."""
-    mean = math.fsum(coords) / len(coords)
-    centered = [c - mean for c in coords]
-    if not all(map(math.isfinite, centered)):
-        raise ValueError("centered coordinates must be finite")
-    return mean, math.fsum(map(mul, centered, centered))
+    """Mean and energy of the coordinates; ValueError unless the energy is a
+    finite float (an overflowing sum, centering or sum of squares)."""
+    try:
+        mean = math.fsum(coords) / len(coords)
+        centered = [c - mean for c in coords]
+        energy = math.fsum(map(mul, centered, centered))
+    except OverflowError:  # fsum's partial sums passed the largest float
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise ValueError("centered coordinates and their energy must be finite")
+    return mean, energy
 
 
 def _scaled_energy(coords: Sequence[float]) -> Fraction:
@@ -58,7 +63,8 @@ def energy_push(
     (one coordinate always has energy 0; d = 1 raises DimensionError),
     and either new_value > v_i >= mean(v), or new_value < v_i < mean(v).
     Violations raise PreconditionError; under the hypothesis the verdict
-    is always True.
+    is always True. An energy that is not a finite float, before or after
+    the move, raises ValueError.
 
     With ``exact=True`` the hypothesis and the verdict are evaluated in
     exact rational arithmetic over the binary values of the inputs;

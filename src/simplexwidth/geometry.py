@@ -89,11 +89,12 @@ class Vector(Frozen):
     def __init__(self, coords: Sequence[float]) -> None:
         if isinstance(coords, (str, bytes, bytearray)):
             raise TypeError("vector coordinates must be numbers, not str or bytes")
-        # Each coordinate is checked, and converted, by the argument rule for a
-        # real number, in the one pass over coords. The one copy of the list
-        # callers pass: through a list, since tuple() of a map grows by
-        # reallocation and fragments the heap at mixed sizes.
-        coords = tuple([*map(check_real, coords, repeat("vector coordinate"))])
+        # One copy, through a list: tuple() of an iterator grows by reallocation
+        # and fragments the heap. Plain finite floats pass the real-number rule
+        # unchanged, so they are checked at C speed and stored as they are.
+        coords = tuple(list(coords))
+        if set(map(type, coords)) != {float} or not all(map(math.isfinite, coords)):
+            coords = tuple([*map(check_real, coords, repeat("vector coordinate"))])
         if len(coords) == 0:
             raise DimensionError("a vector needs at least one coordinate")
         self.__dict__["coords"] = coords
@@ -107,18 +108,6 @@ class Vector(Frozen):
 
     def coordinate_sum(self) -> float:
         return math.fsum(self.coords)
-
-
-def _vector(coords: list[float]) -> Vector:
-    """A Vector of floats the package drew itself (the energy fuzz's
-    coordinates), built without the per-coordinate check and conversion.
-    Their finiteness is still checked."""
-    coords = tuple(coords)
-    if not all(map(math.isfinite, coords)):
-        raise ValueError("vector coordinates must be finite")
-    v = Vector.__new__(Vector)
-    v.__dict__["coords"] = coords
-    return v
 
 
 class Direction(Vector):
@@ -141,7 +130,10 @@ class Direction(Vector):
     def __post_init__(self) -> None:
         # A method of its own so that a profiler can wrap every check.
         sum_zero = check_flag(self.sum_zero, "sum_zero")
-        nsq = self.norm_squared()
+        try:
+            nsq = self.norm_squared()
+        except OverflowError:  # fsum's partial sums passed the largest float
+            nsq = math.inf
         if abs(nsq - 1.0) > UNIT_NORM_TOL:
             raise PreconditionError(
                 f"direction must be a unit vector, got squared norm {nsq!r}"
@@ -309,7 +301,7 @@ def projection_width(u: Direction, points: PointSet) -> float:
 
 
 def distance(a: Vector, b: Vector) -> float:
-    """Euclidean distance between two points."""
+    """Euclidean distance; no squared difference overflows or underflows."""
     if check_type(a, Vector, "a").dim != check_type(b, Vector, "b").dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a.coords, b.coords)))
+    return math.dist(a.coords, b.coords)

@@ -31,7 +31,6 @@ from .geometry import (
     MAX_SEED,
     Frozen,
     Vector,
-    _vector,
     check_int,
     check_order,
     distance,
@@ -211,7 +210,7 @@ def energy_fuzz(trials: int, seed: int) -> tuple[int, int]:
     for _ in range(trials):
         dim = int(rng.integers(2, 51))
         coords = rng.uniform(-10.0, 10.0, dim)
-        v = _vector(coords.tolist())
+        v = Vector(coords.tolist())
         i = int(rng.integers(dim))
         mean = math.fsum(v.coords) / dim
         delta = float(rng.uniform(1e-3, 10.0))

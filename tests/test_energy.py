@@ -106,6 +106,24 @@ def test_centering_that_overflows_raises():
         energy_push(Vector([1e308, -1.1e308, -1.1e308]), 0, 1.7e308)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize(
+    "coords,new_value",
+    [
+        # squares of 1e308 whose sum passes the largest float: fsum raises
+        ([1e154, -1e154], 1.5e154),
+        # squares that are inf: the float verdict was False, the exact True
+        ([1e200, -1e200], 1.5e200),
+        # a coordinate sum that passes the largest float: fsum raises
+        ([1.7e308, 1.7e308, 0.0], 1.75e308),
+    ],
+    ids=["squares-sum-overflows", "squares-inf", "sum-overflows"],
+)
+def test_energy_that_overflows_raises(coords, new_value, exact):
+    with pytest.raises(ValueError, match="finite"):
+        energy_push(Vector(coords), 0, new_value, exact=exact)
+
+
 @given(st.lists(st.floats(-1e12, 1e12), min_size=2, max_size=60))
 def test_center_vector_accepts_large_coordinates(coords):
     # the rounding error of the centered sum grows with the coordinates'

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from simplexwidth import geometry
 from simplexwidth.geometry import (
     MAX_ORDER,
     VERTEX_MAX_ORDER,
@@ -44,6 +45,22 @@ def test_vector_coerces_to_float():
     v = Vector((1, 2, 3))
     assert v.coords == (1.0, 2.0, 3.0)
     assert all(isinstance(c, float) for c in v.coords)
+
+
+def test_vector_is_built_one_checked_way():
+    assert not hasattr(geometry, "_vector")
+    floats = [-0.0, 5e-324, -2.5, 1.7976931348623157e308]
+    assert bits(Vector(floats).coords) == bits(floats)
+    # numpy floats and ints pass the argument rule as exact floats
+    v = Vector([np.float64(0.1), 3, 2**53 + 1, -0.0])
+    assert v.coords == (0.1, 3.0, 2.0**53, -0.0)
+    assert all(type(c) is float for c in v.coords)
+    # one coordinate the rule refuses, anywhere among plain floats, sends
+    # them all through the rule, which names it
+    for bad in [True, "1", None, math.inf, math.nan, 10**400]:
+        for k in range(len(floats) + 1):
+            with pytest.raises(ValueError, match="vector coordinate"):
+                Vector(floats[:k] + [bad] + floats[k:])
 
 
 @pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12"), ""])
@@ -90,6 +107,11 @@ def test_vector_norm_squared():
 def test_direction_requires_unit_norm():
     with pytest.raises(PreconditionError):
         Direction((1.0, 1.0))
+    # a squared norm past the largest float reads as inf, whether fsum
+    # raises on its partial sum of squares or one square is inf
+    for coords in ([1e154, 1e154], [1e200, 0.0]):
+        with pytest.raises(PreconditionError, match="squared norm inf"):
+            Direction(coords)
     d = Direction((0.6, 0.8))
     assert d.dim == 2
 
@@ -346,5 +368,8 @@ def test_kernels_match_the_generator_spelling_bit_for_bit(raw, special, values):
 
 def test_distance_matches_pythagoras():
     assert distance(Vector((0.0, 0.0)), Vector((3.0, 4.0))) == 5.0
+    # the squared difference underflows to 0.0, or overflows to inf
+    assert distance(Vector([1e-200]), Vector([0.0])) == 1e-200
+    assert distance(Vector([1e200]), Vector([-1e200])) == 2e200
     with pytest.raises(DimensionError):
         distance(Vector((0.0,)), Vector((0.0, 0.0)))

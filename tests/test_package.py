@@ -61,15 +61,6 @@ def test_public_names_resolve_once():
     assert sorted(names) == sorted(public)
 
 
-def test_trusted_vector_build_is_private():
-    # callers outside the package build through the checked Vector, numpy
-    # integers by way of .tolist(); geometry._vector, which skips the check
-    # for floats the package computed itself, is no public name
-    assert Vector(np.arange(3).tolist()).coords == (0.0, 1.0, 2.0)
-    assert "_vector" not in simplexwidth.__all__
-    assert not hasattr(simplexwidth, "_vector")
-
-
 def test_readme_python_blocks_run():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.M | re.S)

